@@ -27,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import lbfgs
+from repro.core.linear import check_query
 from repro.core.loss import log1pexp, sigmoid
 from repro.embed.clipsim import EmbeddedDataset
 
@@ -102,7 +103,7 @@ class EnsRanker:
                 "ENS is implemented for coarse indexing only (as in the paper)"
             )
         self.reset_scores(
-            (ds.vectors @ np.asarray(q0, dtype=np.float32)).astype(np.float64)
+            (ds.vectors @ check_query(q0).astype(np.float32)).astype(np.float64)
         )
 
     def reset_scores(self, s0: np.ndarray) -> None:

@@ -9,32 +9,23 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.linear import LinearRanker
 from repro.embed.clipsim import EmbeddedDataset
 
 
-class RocchioRanker:
+class RocchioRanker(LinearRanker):
     """Classic Rocchio query update over region-feedback vectors."""
 
     def __init__(self, alpha: float = 1.0, beta: float = 0.5, gamma: float = 0.25):
         self.alpha, self.beta, self.gamma = alpha, beta, gamma
-        self._vectors: np.ndarray | None = None
-        self._q0: np.ndarray | None = None
-        self._q: np.ndarray | None = None
         self._pos: list[np.ndarray] = []
         self._neg: list[np.ndarray] = []
 
     def reset(self, ds: EmbeddedDataset, q0: np.ndarray) -> None:
-        self._vectors = ds.vectors
-        self._q0 = np.asarray(q0, dtype=np.float64)
-        self._q = self._q0.copy()
+        super().reset(ds, q0)
         self._pos, self._neg = [], []
 
-    def vector_scores(self, remaining: int) -> np.ndarray:
-        assert self._vectors is not None and self._q is not None
-        return self._vectors @ self._q.astype(np.float32)
-
     def observe(self, image_id, relevant, pos_vecs, neg_vecs) -> None:
-        assert self._vectors is not None and self._q0 is not None
         for vid in np.asarray(pos_vecs, dtype=np.int64):
             self._pos.append(self._vectors[vid].astype(np.float64))
         for vid in np.asarray(neg_vecs, dtype=np.int64):

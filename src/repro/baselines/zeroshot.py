@@ -1,23 +1,11 @@
 """Zero-shot CLIP baseline: rank by the text query alone, ignore feedback."""
 from __future__ import annotations
 
-import numpy as np
-
-from repro.embed.clipsim import EmbeddedDataset
+from repro.core.linear import LinearRanker
 
 
-class ZeroShotRanker:
+class ZeroShotRanker(LinearRanker):
     """Scores every vector by inner product with the fixed text query ``q0``."""
-
-    def __init__(self) -> None:
-        self._scores: np.ndarray | None = None
-
-    def reset(self, ds: EmbeddedDataset, q0: np.ndarray) -> None:
-        self._scores = ds.vectors @ np.asarray(q0, dtype=np.float32)
-
-    def vector_scores(self, remaining: int) -> np.ndarray:
-        assert self._scores is not None
-        return self._scores
 
     def observe(self, image_id, relevant, pos_vecs, neg_vecs) -> None:
         """Zero-shot ignores feedback (paper §5.1)."""

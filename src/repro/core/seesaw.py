@@ -12,10 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.aligner import AlignerParams, QueryAligner
+from repro.core.linear import LinearRanker
 from repro.embed.clipsim import EmbeddedDataset
 
 
-class SeeSawSession:
+class SeeSawSession(LinearRanker):
     """Feedback-driven re-ranker solving Eq. 5 each round.
 
     Parameters
@@ -44,28 +45,18 @@ class SeeSawSession:
     ):
         self.aligner = QueryAligner(params, M, balanced=balanced)
         self.require_positive = require_positive
-        self._q0: np.ndarray | None = None
-        self._q: np.ndarray | None = None
-        self._vectors: np.ndarray | None = None
         self._X: list[np.ndarray] = []
         self._y: list[float] = []
         self._n_pos = 0
 
     # -- Ranker protocol ---------------------------------------------------
     def reset(self, ds: EmbeddedDataset, q0: np.ndarray) -> None:
-        self._vectors = ds.vectors
-        self._q0 = np.asarray(q0, dtype=np.float64)
-        self._q = self._q0.copy()
+        super().reset(ds, q0)
         self._X, self._y, self._n_pos = [], [], 0
-
-    def vector_scores(self, remaining: int) -> np.ndarray:
-        assert self._vectors is not None and self._q is not None
-        return self._vectors @ self._q.astype(np.float32)
 
     def observe(
         self, image_id: int, relevant: bool, pos_vecs: np.ndarray, neg_vecs: np.ndarray
     ) -> None:
-        assert self._vectors is not None and self._q0 is not None
         for vid in np.asarray(pos_vecs, dtype=np.int64):
             self._X.append(self._vectors[vid].astype(np.float64))
             self._y.append(1.0)
@@ -83,11 +74,6 @@ class SeeSawSession:
         self._q = self.aligner.align(self._q0, X, y)
 
     # -- Introspection (used by tests) ------------------------------------
-    @property
-    def query(self) -> np.ndarray:
-        assert self._q is not None
-        return self._q
-
     @property
     def n_feedback(self) -> int:
         return len(self._y)

@@ -2,10 +2,10 @@
 
 The paper uses NN-descent (approximate) because CLIP databases are large; at
 our scales an exact blocked brute-force build is affordable and removes one
-source of noise, so the Spark build is exact: the vector matrix is broadcast
-and each partition of query rows computes its own top-k block with numpy
-(mapInPandas). ``knn_graph_np`` is the single-process reference the Spark
-build is tested against.
+source of noise, so both builds are exact and share one row-block kernel:
+``knn_graph_np`` runs it over blocks of rows in this process, and
+``knn_graph_spark`` broadcasts the vector matrix and runs it on each
+partition of query rows (mapInPandas).
 """
 from __future__ import annotations
 
@@ -13,6 +13,39 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import types as T
+
+
+def _points(X: np.ndarray, k: int) -> np.ndarray:
+    """``X`` as float32 rows, rejecting a ``k`` with fewer than ``k + 1``
+    rows and non-finite values (they would yield NaN distances)."""
+    X = np.asarray(X, dtype=np.float32)
+    n = X.shape[0]
+    if k >= n:
+        raise ValueError(f"k={k} must be < n={n}")
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{bad.size} non-finite vector(s), first at row {bad[0]}")
+    return X
+
+
+def _knn_rows(
+    X: np.ndarray, sq: np.ndarray, rows: slice | np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The row-block kernel: the ``k`` nearest other rows of ``X`` to each
+    row in ``rows``, as ``(indices, dists)`` sorted by ascending distance.
+    ``sq`` holds the squared norms of ``X``'s rows. Pass a slice where
+    possible: it keeps ``X[rows]`` a view, so a block spanning all of ``X``
+    takes numpy's symmetric ``X @ X.T`` routine, whose rounding (pinned by
+    the golden searches) differs from the general product's."""
+    ids = np.arange(X.shape[0])[rows]
+    d2 = sq[rows, None] - 2.0 * (X[rows] @ X.T) + sq[None, :]
+    d2[np.arange(ids.size), ids] = np.inf  # no self-loop
+    part = np.argpartition(d2, k, axis=1)[:, :k]
+    pd2 = np.take_along_axis(d2, part, axis=1)
+    order = np.argsort(pd2, axis=1)
+    nbr = np.take_along_axis(part, order, axis=1)
+    dist = np.sqrt(np.maximum(np.take_along_axis(pd2, order, axis=1), 0.0))
+    return nbr, dist
 
 
 def knn_graph_np(
@@ -24,24 +57,14 @@ def knn_graph_np(
     nearest rows to row i (ascending distance), ``dists[i]`` the Euclidean
     distances.
     """
-    X = np.asarray(X, dtype=np.float32)
+    X = _points(X, k)
     n = X.shape[0]
-    if k >= n:
-        raise ValueError(f"k={k} must be < n={n}")
     sq = (X * X).sum(axis=1)
     idx_out = np.empty((n, k), dtype=np.int32)
     d_out = np.empty((n, k), dtype=np.float32)
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        d2 = sq[lo:hi, None] - 2.0 * (X[lo:hi] @ X.T) + sq[None, :]
-        d2[np.arange(lo, hi) - lo, np.arange(lo, hi)] = np.inf  # no self-loop
-        part = np.argpartition(d2, k, axis=1)[:, :k]
-        pd2 = np.take_along_axis(d2, part, axis=1)
-        order = np.argsort(pd2, axis=1)
-        idx_out[lo:hi] = np.take_along_axis(part, order, axis=1)
-        d_out[lo:hi] = np.sqrt(
-            np.maximum(np.take_along_axis(pd2, order, axis=1), 0.0)
-        )
+        idx_out[lo:hi], d_out[lo:hi] = _knn_rows(X, sq, slice(lo, hi), k)
     return idx_out, d_out
 
 
@@ -51,12 +74,10 @@ def knn_graph_spark(
     """Exact kNN graph as a Spark edge DataFrame ``(src, dst, dist, rank)``.
 
     The full (N, d) float32 matrix is broadcast (tens of MB at our scales);
-    each partition scores its slice of query ids against it with numpy.
+    each partition runs the row-block kernel on its slice of query ids.
     """
-    X = np.asarray(X, dtype=np.float32)
+    X = _points(X, k)
     n = X.shape[0]
-    if k >= n:
-        raise ValueError(f"k={k} must be < n={n}")
     bX = spark.sparkContext.broadcast(X)
     n_partitions = n_partitions or spark.sparkContext.defaultParallelism
     ids = spark.range(0, n, 1, n_partitions)
@@ -77,13 +98,7 @@ def knn_graph_spark(
             q = pdf["id"].to_numpy()
             if q.size == 0:
                 continue
-            d2 = sq[q, None] - 2.0 * (Xl[q] @ Xl.T) + sq[None, :]
-            d2[np.arange(q.size), q] = np.inf
-            part = np.argpartition(d2, k, axis=1)[:, :k]
-            pd2 = np.take_along_axis(d2, part, axis=1)
-            order = np.argsort(pd2, axis=1)
-            nbr = np.take_along_axis(part, order, axis=1)
-            dist = np.sqrt(np.maximum(np.take_along_axis(pd2, order, axis=1), 0.0))
+            nbr, dist = _knn_rows(Xl, sq, q, k)
             yield pd.DataFrame(
                 {
                     "src": np.repeat(q, k),

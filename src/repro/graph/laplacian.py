@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
+from pyspark.sql import types as T
 
 from repro.graph.knn import knn_graph_np
 
@@ -31,16 +32,24 @@ def edge_weights(dists: np.ndarray, *, sigma_rel: float = 1.0) -> tuple[np.ndarr
     return w, sigma
 
 
-def _sym_coo(idx: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Directed kNN edges -> symmetric COO (i, j, w_sym) with W_sym=(W+W^T)/2."""
-    n, k = idx.shape
-    src = np.repeat(np.arange(n, dtype=np.int64), k)
-    dst = idx.ravel().astype(np.int64)
-    ww = w.ravel().astype(np.float64) / 2.0
+def _m_edges(
+    X: np.ndarray, src: np.ndarray, dst: np.ndarray, w: np.ndarray
+) -> np.ndarray:
+    """The ``M_D`` kernel: ``X^T (D - W_sym) X`` over the directed edges
+    ``src -> dst`` of weight ``w``, each entering ``W_sym = (W + W^T)/2`` as
+    ``w/2`` in both directions. Disjoint edge sets give partials that sum
+    to the kernel over their union."""
+    n, d = X.shape
+    ww = w.astype(np.float64) / 2.0
     i = np.concatenate([src, dst])
     j = np.concatenate([dst, src])
     vv = np.concatenate([ww, ww])
-    return i, j, vv
+    deg = np.bincount(i, weights=vv, minlength=n)
+    # (W X)_i = sum_j w_ij x_j via scatter-add over edges.
+    WX = np.zeros((n, d))
+    np.add.at(WX, i, vv[:, None] * X[j])
+    M = X.T @ (deg[:, None] * X - WX)
+    return (M + M.T) / 2.0  # numerical symmetry
 
 
 def m_matrix_np(
@@ -48,14 +57,9 @@ def m_matrix_np(
 ) -> np.ndarray:
     """``M_D = X^T (D - W_sym) X`` (optionally divided by N). Symmetric PSD."""
     X = np.asarray(X, dtype=np.float64)
-    n, d = X.shape
-    i, j, vv = _sym_coo(idx, w)
-    deg = np.bincount(i, weights=vv, minlength=n)
-    # (W X)_i = sum_j w_ij x_j via scatter-add over edges.
-    WX = np.zeros((n, d))
-    np.add.at(WX, i, vv[:, None] * X[j])
-    M = X.T @ (deg[:, None] * X - WX)
-    M = (M + M.T) / 2.0  # numerical symmetry
+    n, k = idx.shape
+    src = np.repeat(np.arange(n, dtype=np.int64), k)
+    M = _m_edges(X, src, idx.ravel().astype(np.int64), w.ravel())
     return M / n if normalize else M
 
 
@@ -69,46 +73,26 @@ def m_matrix_spark(
     """Spark build of ``M_D`` from an edge DataFrame ``(src, dst, dist, ...)``
     that already carries a ``weight`` column.
 
-    Each partition of edges computes its partial
-    ``sum_e w_e (x_src - x_dst)(x_src - x_dst)^T / 2`` against the broadcast
-    vector matrix (this identity equals ``X^T (D - W_sym) X`` summed over
-    symmetric edges); partials are (d*d)-vectors summed in the driver.
+    Each partition of edges runs the ``M_D`` kernel against the broadcast
+    vector matrix; the (d*d) partials are summed in the driver.
     """
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
     bX = spark.sparkContext.broadcast(X)
 
     def partial(batches):
-        Xl = bX.value
-        acc = np.zeros((d, d))
-        any_rows = False
-        for pdf in batches:
-            if len(pdf) == 0:
-                continue
-            any_rows = True
-            s = pdf["src"].to_numpy()
-            t = pdf["dst"].to_numpy()
-            ww = pdf["weight"].to_numpy()
-            diff = Xl[s] - Xl[t]
-            # sum_e w_e diff diff^T ; /2 below because each undirected pair
-            # appears up to twice (once per direction) in a kNN edge list —
-            # matches the (W + W^T)/2 symmetrization of the numpy reference.
-            acc += (diff * ww[:, None]).T @ diff
-        if any_rows:
-            yield pd.DataFrame({"m": [acc.ravel()]})
-
-    from pyspark.sql import types as T
+        pdfs = [pdf for pdf in batches if len(pdf)]
+        if pdfs:
+            e = pd.concat(pdfs)
+            M = _m_edges(
+                bX.value, e["src"].to_numpy(), e["dst"].to_numpy(), e["weight"].to_numpy()
+            )
+            yield pd.DataFrame({"m": [M.ravel()]})
 
     schema = T.StructType([T.StructField("m", T.ArrayType(T.DoubleType()))])
-    parts = edges.mapInPandas(partial, schema=schema).collect()
     M = np.zeros((d, d))
-    for row in parts:
+    for row in edges.mapInPandas(partial, schema=schema).collect():
         M += np.asarray(row["m"]).reshape(d, d)
-    M /= 2.0
-    # Mutual edges (i->j and j->i both in the kNN list) were counted twice
-    # (correct, each contributes w/2 * 2); single-direction edges once at
-    # w/2-equivalent — identical to the numpy _sym_coo construction.
-    M = (M + M.T) / 2.0
     return M / n if normalize else M
 
 

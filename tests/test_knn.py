@@ -45,6 +45,13 @@ class TestNumpy:
         with pytest.raises(ValueError):
             knn_graph_np(_data(n=5), 5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_raises(self, bad):
+        X = _data(n=20)
+        X[7, 3] = bad
+        with pytest.raises(ValueError, match="row 7"):
+            knn_graph_np(X, 3)
+
     def test_duplicate_points_zero_distance(self):
         X = np.ones((4, 3), dtype=np.float32)
         idx, dist = knn_graph_np(X, 2)
@@ -67,3 +74,9 @@ class TestSpark:
     def test_k_too_large_raises(self, spark):
         with pytest.raises(ValueError):
             knn_graph_spark(spark, _data(n=4), 4)
+
+    def test_non_finite_raises(self, spark):
+        X = _data(n=20)
+        X[7, 3] = np.nan
+        with pytest.raises(ValueError, match="row 7"):
+            knn_graph_spark(spark, X, 3)

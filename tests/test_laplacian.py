@@ -85,6 +85,12 @@ class TestMNumpy:
         M = build_db_alignment(X, k=5)
         assert M.shape == (12, 12)
 
+    def test_build_db_alignment_rejects_non_finite(self):
+        X = _data(3, n=80, d=12)
+        X[5, 0] = np.nan
+        with pytest.raises(ValueError):
+            build_db_alignment(X, k=5)
+
     def test_constant_direction_low_penalty(self):
         """A direction along which all vectors score equally has zero
         Laplacian penalty; an edge-separating direction has a positive one."""

@@ -38,6 +38,19 @@ class TestMakeRanker:
         with pytest.raises(ValueError):
             make_ranker("ens", {}, bare)
 
+    @pytest.mark.parametrize("method", ["zeroshot", "fewshot", "rocchio", "seesaw", "ens"])
+    @pytest.mark.parametrize("bad", ["zero", "nan", "inf"])
+    def test_degenerate_q0_raises(self, bundles, method, bad):
+        """A zero or non-finite query would score every vector alike."""
+        b = bundles["toy:coarse"]
+        q0 = DS.query_vecs[0].astype(np.float64)
+        if bad == "zero":
+            q0[:] = 0.0
+        else:
+            q0[3] = float(bad)
+        with pytest.raises(ValueError, match="q0"):
+            make_ranker(method, {}, b).reset(b.ds, q0)
+
 
 class TestSweep:
     def test_sweep_matches_serial(self, spark, bundles):
