@@ -122,8 +122,9 @@ def run_sweep(
     Each task dict: ``{"bundle": name, "method": ..., "config": label,
     "params": {...}, "cat": int}``. ``bundles`` is broadcast once; each
     ``applyInPandas`` group replays its searches with numpy and returns AP
-    rows. Falls back to (category % parallelism) grouping so long-running
-    task groups spread across executors.
+    rows. Tasks go round-robin by position into ``4 * defaultParallelism``
+    groups; adaptive query execution may coalesce the groups into fewer
+    Spark tasks.
     """
     sc = spark.sparkContext
     b_bundles = sc.broadcast(bundles)

@@ -1,3 +1,2 @@
-"""DataFrame-based vector store: exact MIP scan + approximate IVF index."""
+"""DataFrame-based vector store: exact MIP scan."""
 from repro.store.scan import score_vectors, topk_images, topk_vectors  # noqa: F401
-from repro.store.ivf import IvfIndex  # noqa: F401

@@ -1,9 +1,14 @@
 """Tests for the DataFrame vector store — oracle-checked against DuckDB."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
+from repro.bench.loop import run_search
+from repro.bench.runner import build_bundle, make_ranker
 from repro.embed.clipsim import WorldSpec, generate_world
+from repro.embed.datasets import build_dataset
 from repro.oracle import assert_equivalent
 from repro.store.scan import score_vectors, topk_images, topk_vectors
 
@@ -95,3 +100,61 @@ class TestTopK:
     def test_descending_order(self, spark, vec_df):
         got = topk_images(vec_df, _q(), 10).toPandas()
         assert (np.diff(got["score"].to_numpy()) <= 1e-12).all()
+
+
+class TestOracle:
+    def test_oracle_catches_wrong_result(self, spark, vec_df):
+        wrong = vec_df.groupBy("image_id").agg(
+            (F.count("*") + 1).alias("cnt")  # deliberately off by one
+        )
+        with pytest.raises(AssertionError):
+            assert_equivalent(
+                wrong,
+                "SELECT image_id, count(*) AS cnt FROM vectors GROUP BY image_id",
+                vectors=DS.to_vector_pdf(),
+            )
+
+
+def _replay_on_store(spark, bundle, cat):
+    """Run one SeeSaw search with ``run_search`` and check that every round's
+    pick is the store's top unseen image for the query that round scored
+    with. Returns the shown image ids."""
+    ranker = make_ranker("seesaw", {}, bundle)
+    queries = []
+    scores = ranker.vector_scores
+
+    def recording(remaining):
+        queries.append(ranker.query.copy())
+        return scores(remaining)
+
+    ranker.vector_scores = recording
+    shown = run_search(bundle.ds, cat, ranker).shown_images
+    vec_df = bundle.ds.to_vector_df(spark).cache()
+    try:
+        for r, (q, img) in enumerate(zip(queries, shown)):
+            top = topk_images(vec_df, q, 1, exclude_images=shown[:r]).collect()
+            assert top[0]["image_id"] == img, f"cat {cat} round {r}"
+    finally:
+        vec_df.unpersist()
+    return shown
+
+
+class TestLoopMatchesStore:
+    """The search loop's numpy pick and the Spark store's lookup agree."""
+
+    @pytest.mark.parametrize("cat", [0, 1, 2])
+    def test_multiscale_seesaw_rounds(self, spark, cat):
+        _replay_on_store(spark, build_bundle(build_dataset("lvis", "test")), cat)
+
+    def test_ties_pick_lowest_image_id(self, spark):
+        """Images n/2..n-1 duplicate images 0..n/2-1 vector for vector, so
+        every pick ties with its twin: both paths must show the lower id."""
+        half = DS.n_images // 2
+        vecs = DS.vectors.copy()
+        for b in range(half, DS.n_images):
+            vecs[DS.image_of == b] = vecs[DS.image_of == b - half]
+        twin = replace(DS, vectors=vecs)
+        shown = _replay_on_store(spark, build_bundle(twin), 0)
+        late = [b for b in shown if b >= half]
+        assert late, "no tie was resolved"
+        assert all(b - half in shown[: shown.index(b)] for b in late)
