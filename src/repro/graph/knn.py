@@ -16,8 +16,8 @@ from pyspark.sql import types as T
 
 
 def _points(X: np.ndarray, k: int) -> np.ndarray:
-    """``X`` as float32 rows, rejecting a ``k`` with fewer than ``k + 1``
-    rows and non-finite values (they would yield NaN distances)."""
+    """``X`` as float32 rows; rejects ``k >= N`` and non-finite values
+    (which would yield NaN distances)."""
     X = np.asarray(X, dtype=np.float32)
     n = X.shape[0]
     if k >= n:
