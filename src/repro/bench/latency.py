@@ -32,7 +32,7 @@ from pyspark.sql import functions as F
 from repro.baselines.ens import EnsRanker
 from repro.core.aligner import AlignerParams, QueryAligner
 from repro.graph.labelprop import label_propagation_spark
-from repro.store.scan import topk_images
+from repro.store.scan import topk_images, vector_table
 
 # (row label, #vectors, multiscale?) — 1/10 of the paper's Table 6 scales.
 SCALES = [
@@ -91,10 +91,7 @@ def build_fixture(
             "vector": list(vecs.astype(np.float64)),
         }
     )
-    vec_df = spark.createDataFrame(pdf).repartition(
-        max(2, spark.sparkContext.defaultParallelism)
-    )
-    vec_df = vec_df.cache()
+    vec_df = vector_table(spark, pdf).cache()
     vec_df.count()  # materialize so measurements exclude the build
 
     # Cheap synthetic kNN graph: random distinct-ish neighbors. Topology is

@@ -173,18 +173,11 @@ class EmbeddedDataset:
         )
 
     def to_vector_df(self, spark):
-        """The vector database as a Spark DataFrame (DataSource of the store)."""
-        from pyspark.sql import types as T
+        """The vector database as the store's Spark table, hash-partitioned
+        by ``image_id`` (see :func:`repro.store.scan.vector_table`)."""
+        from repro.store.scan import vector_table
 
-        schema = T.StructType(
-            [
-                T.StructField("vec_id", T.LongType()),
-                T.StructField("image_id", T.LongType()),
-                T.StructField("is_coarse", T.BooleanType()),
-                T.StructField("vector", T.ArrayType(T.DoubleType())),
-            ]
-        )
-        return spark.createDataFrame(self.to_vector_pdf(), schema=schema)
+        return vector_table(spark, self.to_vector_pdf())
 
 
 def _unit_rows(a: np.ndarray) -> np.ndarray:

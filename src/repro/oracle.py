@@ -9,23 +9,28 @@ custom operator — "it ran" is not "it is correct".
 collected via ``.toPandas()``. Alias every output column identically
 on both sides (Spark names ``count(*)`` as ``count(1)``, DuckDB as
 ``count_star()``) and project to scalar columns — array/map/struct
-columns are not orderable so cannot be compared here.
+columns are not orderable so cannot be compared here. ``ordered=True``
+compares the rows in the order each side returns them, for queries whose
+``ORDER BY ... LIMIT`` is part of the result.
 """
 import duckdb
 import pandas as pd
 from pyspark.sql import DataFrame
 
 
-def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
-    # Canonical column order first, then row order by those columns, so
-    # two results that differ only in projection order compare equal.
+def _canon(pdf: pd.DataFrame, ordered: bool) -> pd.DataFrame:
+    # Canonical column order first, then (unless ordered) row order by
+    # those columns, so two results that differ only in projection order
+    # compare equal.
     pdf = pdf[sorted(pdf.columns)].reset_index(drop=True).copy()
     for c in pdf.select_dtypes(include=["float", "float64"]).columns:
         pdf[c] = pdf[c].round(6)
+    if ordered:
+        return pdf
     return pdf.sort_values(list(pdf.columns)).reset_index(drop=True)
 
 
-def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
+def assert_equivalent(spark_df: DataFrame, sql: str, *, ordered: bool = False, **tables) -> None:
     con = duckdb.connect()
     try:
         for name, t in tables.items():
@@ -39,5 +44,5 @@ def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
         "— alias every output column identically on both sides"
     )
     pd.testing.assert_frame_equal(
-        _canon(got), _canon(expected), check_dtype=False
+        _canon(got, ordered), _canon(expected, ordered), check_dtype=False
     )

@@ -1,2 +1,7 @@
 """DataFrame-based vector store: exact MIP scan."""
-from repro.store.scan import score_vectors, topk_images, topk_vectors  # noqa: F401
+from repro.store.scan import (  # noqa: F401
+    score_vectors,
+    topk_images,
+    topk_vectors,
+    vector_table,
+)

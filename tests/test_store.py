@@ -102,6 +102,110 @@ class TestTopK:
         assert (np.diff(got["score"].to_numpy()) <= 1e-12).all()
 
 
+class TestTopKOracle:
+    def test_topk_images_with_exclusions_match_duckdb(self, spark, vec_df):
+        """The whole lookup (exclusion, per-image max, order, limit) against
+        the same query in DuckDB, row by row."""
+        q = _q(1)
+        scores = DS.vectors.astype(np.float64) @ q
+        best = np.full(DS.n_images, -np.inf)
+        np.maximum.at(best, DS.image_of, scores)
+        # The current top 5, so the exclusion changes the answer, plus
+        # images from the middle and the bottom of the ranking.
+        order = np.argsort(-best, kind="stable")
+        banned = sorted(int(i) for i in np.r_[order[:5], order[30:33], order[-2:]])
+        got = topk_images(vec_df, q, 10, exclude_images=banned)
+        qlit = "[" + ",".join(repr(float(v)) for v in q) + "]"
+        assert_equivalent(
+            got,
+            f"SELECT image_id, max(list_inner_product(vector, {qlit}::DOUBLE[])) AS score "
+            f"FROM vectors WHERE image_id NOT IN ({', '.join(map(str, banned))}) "
+            "GROUP BY image_id ORDER BY score DESC, image_id LIMIT 10",
+            ordered=True,
+            vectors=DS.to_vector_pdf(),
+        )
+        ids = [r["image_id"] for r in got.collect()]
+        assert len(ids) == 10 and not set(ids) & set(banned)
+
+
+class TestLookupPlan:
+    """A lookup on the cached store is one stage: no shuffle, no Python."""
+
+    def test_no_exchange_or_python_above_cached_scan(self, spark, vec_df):
+        got = topk_images(vec_df, _q(), 3, exclude_images=[0, 5, 7])
+        got.collect()
+        plan = got._jdf.queryExecution().executedPlan().toString()
+        assert "InMemoryTableScan" in plan
+        # The cached table's own build (its repartition) prints below it.
+        assert "Exchange" not in plan[: plan.index("InMemoryTableScan")], plan
+        assert "EvalPython" not in plan, plan  # Arrow- or BatchEvalPython
+
+    def test_one_job_one_stage(self, spark, vec_df):
+        sc = spark.sparkContext
+        sc.setJobGroup("store-lookup-plan", "one lookup")
+        try:
+            topk_images(vec_df, _q(2), 1, exclude_images=[3]).collect()
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        st = sc.statusTracker()
+        jobs = st.getJobIdsForGroup("store-lookup-plan")
+        ran = [
+            sid
+            for j in jobs
+            for sid in st.getJobInfo(j).stageIds
+            if st.getStageInfo(sid) and st.getStageInfo(sid).numCompletedTasks
+        ]
+        assert len(jobs) == 1 and len(ran) == 1
+
+    def test_scores_are_the_in_order_float64_sum(self, spark, vec_df):
+        """q reaches the plan bit for bit: each score equals the sequential
+        float64 sum of ``vector[i] * q[i]`` exactly."""
+        q = _q(3)
+        got = (
+            score_vectors(vec_df, q)
+            .select("vec_id", "score")
+            .toPandas()
+            .sort_values("vec_id")["score"]
+            .to_numpy()
+        )
+        expect = np.cumsum(DS.vectors.astype(np.float64) * q, axis=1)[:, -1]
+        np.testing.assert_array_equal(got, expect)
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "lookup",
+        [
+            lambda df, q: score_vectors(df, q),
+            lambda df, q: topk_vectors(df, q, 3),
+            lambda df, q: topk_images(df, q, 3, exclude_images=[1]),
+        ],
+        ids=["score_vectors", "topk_vectors", "topk_images"],
+    )
+    def test_non_finite_q_raises(self, spark, vec_df, lookup, bad):
+        q = _q().copy()
+        q[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            lookup(vec_df, q).collect()
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_raises(self, spark, vec_df, k):
+        with pytest.raises(ValueError, match="k must be"):
+            topk_vectors(vec_df, _q(), k)
+        with pytest.raises(ValueError, match="k must be"):
+            topk_images(vec_df, _q(), k)
+
+    @pytest.mark.parametrize("d", [DS.spec.d - 1, DS.spec.d + 1])
+    def test_q_length_mismatch_raises(self, spark, vec_df, d):
+        q = np.resize(_q(), d)
+        msg = f"q has {d} dims but stored vector has {DS.spec.d}"
+        with pytest.raises(Exception, match=msg):
+            topk_images(vec_df, q, 1).collect()
+        with pytest.raises(Exception, match=msg):
+            score_vectors(vec_df, q).collect()
+
+
 class TestOracle:
     def test_oracle_catches_wrong_result(self, spark, vec_df):
         wrong = vec_df.groupBy("image_id").agg(
