@@ -1,19 +1,21 @@
 """Regenerate BENCH_store.json: the vector-store lookup, parent vs change.
 
-Usage: ``python jobs/bench_store.py --parent-rev REV [--pairs 6] [--seconds 25]``
+Usage: ``python jobs/bench_store.py --parent-rev REV``
 
 Compares a checkout of git revision REV (extracted with ``git archive`` into
 a temporary directory) with this working tree:
 
 - ``interactive``'s end-to-end metrics from ``perfbench/run.py --trace 0``,
-  in ``--pairs`` alternating parent/change pairs (the side that runs first
-  alternates; both sides of a pair use the same seed);
+  in ``PAIRS`` alternating parent/change pairs of BENCHMARK.json's
+  ``run_seconds`` each (the side that runs first alternates; both sides of a
+  pair use the same seed);
 - the ``store.*`` per-layer metrics from one ``--trace 1`` run per side;
-- the Table 6 lookup at 160K multiscale vectors: ``topk_images(..., 10)``
-  on ``bench.latency.build_fixture``'s store, median over random queries,
-  with the top-10 of both sides compared query by query.
+- the Table 6 lookup at 160K multiscale vectors: Table 6's CLIP cell
+  (``bench.latency.measure_iteration``) on ``build_fixture``'s store, plus
+  the top-10 of both sides compared over random queries.
 
-Every run is a fresh process, so the two sides never share a JVM. Writes
+Every run is a fresh process, so the two sides never share a JVM. The two
+sides' perfbench environment fingerprints must match. Writes
 ``BENCH_store.json`` at the repository root.
 """
 from __future__ import annotations
@@ -29,6 +31,8 @@ from pathlib import Path
 from statistics import median
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10  # alternating parent/change pairs: enough to claim a gain
+TABLE6_REPS = 7
 END_TO_END = ("round_ms_p50", "searches_per_s", "setup_s", "driver_rss_mb")
 STORE_LAYERS = (
     "store.lookup_ms_p50",
@@ -39,31 +43,26 @@ STORE_LAYERS = (
 )
 
 # Run inside one checkout: build the 160K-vector multiscale store of
-# Table 6's "BDD" row and time top-10 lookups of random unit queries.
+# Table 6's "BDD" row, time its CLIP cell (a top-10 lookup) and record the
+# top-10 of random unit queries.
 TABLE6_LOOKUP = r"""
-import json, sys, time
+import json, sys
 import numpy as np
 sys.path[:0] = ["src", "jobs"]
 from _common import get_spark
-from repro.bench.latency import build_fixture
+from repro.bench.latency import build_fixture, measure_iteration
 from repro.store.scan import topk_images
 
 reps = int(sys.argv[1])
 spark = get_spark("bench_store")
 spark.sparkContext.setLogLevel("ERROR")
 fix = build_fixture(spark, "BDD", 160_000, True)
-g = np.random.default_rng(7)
-qs = g.standard_normal((reps + 1, 64))
+s = measure_iteration(fix, "CLIP", reps=reps)
+qs = np.random.default_rng(7).standard_normal((reps, 64))
 qs /= np.linalg.norm(qs, axis=1, keepdims=True)
-ms, tops = [], []
-for i, q in enumerate(qs):
-    t0 = time.perf_counter()
-    rows = topk_images(fix.vec_df, q, 10).collect()
-    if i:  # the first lookup is warm-up
-        ms.append((time.perf_counter() - t0) * 1e3)
-        tops.append([int(r["image_id"]) for r in rows])
+tops = [[int(r["image_id"]) for r in topk_images(fix.vec_df, q, 10).collect()] for q in qs]
 spark.stop()
-print(json.dumps({"ms": ms, "tops": tops}))
+print(json.dumps({"ms": s * 1e3, "tops": tops}))
 """
 
 
@@ -74,28 +73,31 @@ def _env() -> dict[str, str]:
     return env
 
 
-def _last_json(cmd: list[str], cwd: Path, env: dict[str, str]) -> dict:
+def _stdout(cmd: list[str], cwd: Path, env: dict[str, str]) -> list[str]:
     out = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True)
     if out.returncode:
         raise RuntimeError(f"{cmd} in {cwd} failed:\n{out.stderr[-3000:]}")
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    return out.stdout.strip().splitlines()
 
 
-def _perfbench(root: Path, seed: int, seconds: float, trace: int) -> dict:
+def _perfbench(root: Path, seed: int, seconds: float, trace: int) -> tuple[dict, str]:
+    """One perfbench run: its metric values and its environment fingerprint."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", "interactive",
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    res = _last_json(cmd, root, _env())
+    lines = _stdout(cmd, root, _env())
+    env = json.loads(next(ln for ln in lines if ln.startswith("perfbench env "))[len("perfbench env "):])
+    res = json.loads(lines[-1])
     if res["failed"]:
         raise RuntimeError(f"{root}: {res['failed']} of {res['attempted']} lookups were wrong")
-    return {k: v["value"] for k, v in res["metrics"].items()}
+    return {k: v["value"] for k, v in res["metrics"].items()}, env["fingerprint"]
 
 
-def _table6_lookup(root: Path, reps: int) -> dict:
+def _table6_lookup(root: Path) -> dict:
     env = _env() | {
         "SPARK_MASTER": f"local[{len(os.sched_getaffinity(0))}]",
         "SPARK_DRIVER_MEM": "4g",
     }
-    return _last_json([sys.executable, "-c", TABLE6_LOOKUP, str(reps)], root, env)
+    return json.loads(_stdout([sys.executable, "-c", TABLE6_LOOKUP, str(TABLE6_REPS)], root, env)[-1])
 
 
 def _cpu() -> str:
@@ -113,10 +115,8 @@ def _summary(runs: list[dict], names) -> dict:
 def main(argv: list[str] | None = None) -> None:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent-rev", required=True)
-    p.add_argument("--pairs", type=int, default=6)
-    p.add_argument("--seconds", type=float, default=25.0)
-    p.add_argument("--table6-reps", type=int, default=7)
     args = p.parse_args(argv)
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     rev = subprocess.run(["git", "rev-parse", args.parent_rev], cwd=ROOT,
                          capture_output=True, text=True, check=True).stdout.strip()
     with tempfile.TemporaryDirectory(prefix="bench_store_parent_") as tmp:
@@ -126,36 +126,45 @@ def main(argv: list[str] | None = None) -> None:
         sides = {"parent": parent, "change": ROOT}
 
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
-        for i in range(args.pairs):
+        fingerprints: dict[str, set[str]] = {"parent": set(), "change": set()}
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(_perfbench(sides[side], i + 1, args.seconds, 0))
-                print(f"pair {i + 1} {side}: {runs[side][-1]}", flush=True)
-        traced = {s: _perfbench(root, 1, args.seconds, 1) for s, root in sides.items()}
-        lookups = {s: _table6_lookup(root, args.table6_reps) for s, root in sides.items()}
+                metrics, fp = _perfbench(sides[side], i + 1, seconds, 0)
+                runs[side].append(metrics)
+                fingerprints[side].add(fp)
+                print(f"pair {i + 1} {side}: {metrics}", flush=True)
+        traced = {}
+        for side, root in sides.items():
+            traced[side], fp = _perfbench(root, 1, seconds, 1)
+            fingerprints[side].add(fp)
+        if len(fingerprints["parent"] | fingerprints["change"]) != 1:
+            raise RuntimeError(f"perfbench environments differ, results not comparable: {fingerprints}")
+        lookups = {s: _table6_lookup(root) for s, root in sides.items()}
 
     wins = sum(c["round_ms_p50"] < p_["round_ms_p50"] for p_, c in zip(runs["parent"], runs["change"]))
     record = {
         "what": "interactive workload and Table 6 store lookup, parent vs change",
-        "command": "python jobs/bench_store.py --parent-rev " + args.parent_rev,
+        "command": "python jobs/bench_store.py --parent-rev " + rev,
         "parent_rev": rev,
+        "perfbench_fingerprint": fingerprints["change"].pop(),
         "machine": {
             "nproc": len(os.sched_getaffinity(0)),
             "cpu": _cpu(),
             "python": platform.python_version(),
         },
         "interactive": {
-            "pairs": args.pairs,
-            "seconds": args.seconds,
+            "pairs": PAIRS,
+            "seconds": seconds,
             "parent": _summary(runs["parent"], END_TO_END),
             "change": _summary(runs["change"], END_TO_END),
             "round_ms_p50_change_wins": wins,
         },
         "interactive_trace": {s: {n: t[n] for n in STORE_LAYERS} for s, t in traced.items()},
         "table6_lookup_160k_multiscale_top10": {
-            "reps": args.table6_reps,
-            "parent_ms_p50": median(lookups["parent"]["ms"]),
-            "change_ms_p50": median(lookups["change"]["ms"]),
+            "reps": TABLE6_REPS,
+            "parent_ms_p50": lookups["parent"]["ms"],
+            "change_ms_p50": lookups["change"]["ms"],
             "top10_identical": sum(
                 a == b for a, b in zip(lookups["parent"]["tops"], lookups["change"]["tops"])
             ),
