@@ -59,11 +59,8 @@ class EnsRanker:
     graph_idx, graph_w:
         (N, k) kNN neighbor indices and edge weights of the coarse vectors.
     horizon:
-        Initial reward horizon ``t`` (paper: 60, shrunk every step via the
-        loop's ``remaining`` argument).
-    shrink:
-        If True (paper behaviour) the effective horizon is
-        ``min(horizon, remaining)``.
+        Initial reward horizon ``t`` (paper: 60). Each step shrinks it to
+        ``min(horizon, remaining)`` via the loop's ``remaining`` argument.
     gamma:
         Optional per-vertex prior probabilities (the calibrated-``gamma_i``
         rows of Table 4). ``None`` -> raw ``(s+1)/2`` mapping of the
@@ -76,13 +73,11 @@ class EnsRanker:
         graph_w: np.ndarray,
         *,
         horizon: int = 60,
-        shrink: bool = True,
         gamma: np.ndarray | None = None,
     ):
         self.idx = np.asarray(graph_idx, dtype=np.int64)
         self.w = np.asarray(graph_w, dtype=np.float64)
         self.horizon = horizon
-        self.shrink = shrink
         self.gamma_override = gamma
         n, k = self.idx.shape
         # Reverse adjacency: labeling i updates the posterior of every j
@@ -146,7 +141,7 @@ class EnsRanker:
         if self.n_pos == 0:
             # Paper modification: let zero-shot CLIP find the first positive.
             return self.s0.copy()
-        t = min(self.horizon, remaining) if self.shrink else self.horizon
+        t = min(self.horizon, remaining)
         p = self.posterior()
         # Labeled vertices sort below every unlabeled probability (>= 0)
         # during the lookahead, and are masked out of the final scores.

@@ -26,6 +26,8 @@ def average_precision(
     displayed (already truncated by the loop's stopping rule; anything past
     ``budget`` is ignored defensively here).
     """
+    if target < 1 or budget < 1:
+        raise ValueError(f"target and budget must be >= 1, got {target} and {budget}")
     if n_relevant_in_dataset <= 0:
         raise ValueError("category has no relevant images in the dataset")
     r_cap = min(target, n_relevant_in_dataset)

@@ -189,8 +189,12 @@ def measure_iteration(fix: LatencyFixture, method: str, *, reps: int = 3) -> flo
 def table6(spark: SparkSession, *, reps: int = 3, scales=None) -> pd.DataFrame:
     """Latency table: rows = database scales, columns = methods."""
     rows = []
-    for label, n, multi in scales or SCALES:
+    for i, (label, n, multi) in enumerate(scales or SCALES):
         fix = build_fixture(spark, label, n, multi)
+        if i == 0:
+            # One discarded pass warms the JVM (codegen, JIT), which the
+            # per-cell warm-up call in _time does not do for the first row.
+            measure_iteration(fix, "CLIP", reps=reps)
         row: dict[str, object] = {"dataset": label, "vectors": n}
         for m in METHODS:
             row[m] = measure_iteration(fix, m, reps=reps)

@@ -91,6 +91,8 @@ def run_search(
     budget: int = 60,
 ) -> SearchOutcome:
     """Run the find-``target``-in-``budget`` benchmark task for one category."""
+    if target < 1 or budget < 1:
+        raise ValueError(f"target and budget must be >= 1, got {target} and {budget}")
     n_rel = int(ds.rel_image[cat].sum())
     q0 = ds.query_vecs[cat].astype(np.float64)
     ranker.reset(ds, q0)

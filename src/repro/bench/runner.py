@@ -89,7 +89,6 @@ def make_ranker(method: str, params: dict[str, Any], bundle: DatasetBundle):
             bundle.graph_idx,
             bundle.graph_w,
             horizon=params.get("horizon", 60),
-            shrink=params.get("shrink", True),
             gamma=gamma,
         )
     raise KeyError(f"unknown method {method!r}")

@@ -119,7 +119,7 @@ _TEST_CATEGORIES = {"lvis": 16, "objectnet": 12, "coco": 10, "bdd": 6}
 
 
 @lru_cache(maxsize=None)
-def build_dataset(name: str, scale: str = "bench", seed_offset: int = 0) -> EmbeddedDataset:
+def build_dataset(name: str, scale: str = "bench") -> EmbeddedDataset:
     """Build (and memoize) one of the four datasets at ``test``/``bench`` scale."""
     if name not in DATASET_SPECS:
         raise KeyError(f"unknown dataset {name!r}; options: {sorted(DATASET_SPECS)}")
@@ -132,6 +132,4 @@ def build_dataset(name: str, scale: str = "bench", seed_offset: int = 0) -> Embe
         )
     elif scale != "bench":
         raise ValueError(f"scale must be 'test' or 'bench', got {scale!r}")
-    if seed_offset:
-        spec = replace(spec, seed=spec.seed + seed_offset)
     return generate_world(spec)

@@ -14,9 +14,6 @@ of vectors N so the paper's lambda_D magnitude transfers across scales.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import SparkSession
-from pyspark.sql import types as T
 
 from repro.graph.knn import knn_graph_np
 
@@ -32,15 +29,16 @@ def edge_weights(dists: np.ndarray, *, sigma_rel: float = 1.0) -> tuple[np.ndarr
     return w, sigma
 
 
-def _m_edges(
-    X: np.ndarray, src: np.ndarray, dst: np.ndarray, w: np.ndarray
-) -> np.ndarray:
-    """The ``M_D`` kernel: ``X^T (D - W_sym) X`` over the directed edges
-    ``src -> dst`` of weight ``w``, each entering ``W_sym = (W + W^T)/2`` as
-    ``w/2`` in both directions. Disjoint edge sets give partials that sum
-    to the kernel over their union."""
-    n, d = X.shape
-    ww = w.astype(np.float64) / 2.0
+def m_matrix_np(X: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``M_D = X^T (D - W_sym) X / N`` over the kNN edges ``i -> idx[i]`` of
+    weight ``w``, each entering ``W_sym = (W + W^T)/2`` as ``w/2`` in both
+    directions. Symmetric PSD."""
+    X = np.asarray(X, dtype=np.float64)
+    n, k = idx.shape
+    d = X.shape[1]
+    src = np.repeat(np.arange(n, dtype=np.int64), k)
+    dst = idx.ravel().astype(np.int64)
+    ww = w.ravel().astype(np.float64) / 2.0
     i = np.concatenate([src, dst])
     j = np.concatenate([dst, src])
     vv = np.concatenate([ww, ww])
@@ -49,51 +47,7 @@ def _m_edges(
     WX = np.zeros((n, d))
     np.add.at(WX, i, vv[:, None] * X[j])
     M = X.T @ (deg[:, None] * X - WX)
-    return (M + M.T) / 2.0  # numerical symmetry
-
-
-def m_matrix_np(
-    X: np.ndarray, idx: np.ndarray, w: np.ndarray, *, normalize: bool = True
-) -> np.ndarray:
-    """``M_D = X^T (D - W_sym) X`` (optionally divided by N). Symmetric PSD."""
-    X = np.asarray(X, dtype=np.float64)
-    n, k = idx.shape
-    src = np.repeat(np.arange(n, dtype=np.int64), k)
-    M = _m_edges(X, src, idx.ravel().astype(np.int64), w.ravel())
-    return M / n if normalize else M
-
-
-def m_matrix_spark(
-    spark: SparkSession,
-    X: np.ndarray,
-    edges,
-    *,
-    normalize: bool = True,
-) -> np.ndarray:
-    """Spark build of ``M_D`` from an edge DataFrame ``(src, dst, dist, ...)``
-    that already carries a ``weight`` column.
-
-    Each partition of edges runs the ``M_D`` kernel against the broadcast
-    vector matrix; the (d*d) partials are summed in the driver.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    n, d = X.shape
-    bX = spark.sparkContext.broadcast(X)
-
-    def partial(batches):
-        pdfs = [pdf for pdf in batches if len(pdf)]
-        if pdfs:
-            e = pd.concat(pdfs)
-            M = _m_edges(
-                bX.value, e["src"].to_numpy(), e["dst"].to_numpy(), e["weight"].to_numpy()
-            )
-            yield pd.DataFrame({"m": [M.ravel()]})
-
-    schema = T.StructType([T.StructField("m", T.ArrayType(T.DoubleType()))])
-    M = np.zeros((d, d))
-    for row in edges.mapInPandas(partial, schema=schema).collect():
-        M += np.asarray(row["m"]).reshape(d, d)
-    return M / n if normalize else M
+    return (M + M.T) / 2.0 / n  # numerical symmetry, then the 1/N scaling
 
 
 def build_db_alignment(

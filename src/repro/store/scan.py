@@ -54,27 +54,6 @@ def _score_sql(q: np.ndarray) -> str:
     )
 
 
-def _check_k(k: int) -> None:
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-
-
-def score_vectors(vec_df: DataFrame, q: np.ndarray) -> DataFrame:
-    """Append a ``score = vector . q`` column."""
-    return vec_df.withColumn("score", F.expr(_score_sql(q)))
-
-
-def topk_vectors(vec_df: DataFrame, q: np.ndarray, k: int) -> DataFrame:
-    """Top-k vectors by inner product with ``q`` — the store's raw lookup."""
-    score = _score_sql(q)
-    _check_k(k)
-    return (
-        vec_df.selectExpr("vec_id", "image_id", "is_coarse", f"{score} AS score")
-        .orderBy(F.desc("score"), F.asc("vec_id"))
-        .limit(k)
-    )
-
-
 def topk_images(
     vec_df: DataFrame, q: np.ndarray, k: int, *, exclude_images: list[int] | None = None
 ) -> DataFrame:
@@ -85,7 +64,8 @@ def topk_images(
     "unseen" constraint) before ranking.
     """
     score = _score_sql(q)
-    _check_k(k)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if exclude_images:
         vec_df = vec_df.where(
             "image_id NOT IN (" + ", ".join(str(int(i)) for i in exclude_images) + ")"

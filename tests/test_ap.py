@@ -49,6 +49,11 @@ class TestDefinition:
         with pytest.raises(ValueError):
             average_precision([True], 0)
 
+    @pytest.mark.parametrize("target, budget", [(0, 60), (-1, 60), (10, 0), (10, -3)])
+    def test_bad_task_raises(self, target, budget):
+        with pytest.raises(ValueError, match="target and budget"):
+            average_precision([True], 5, target=target, budget=budget)
+
 
 class TestProperties:
     @settings(max_examples=60, deadline=None)

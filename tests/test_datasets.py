@@ -23,11 +23,6 @@ class TestSpecs:
     def test_memoized(self):
         assert build_dataset("coco", "test") is build_dataset("coco", "test")
 
-    def test_seed_offset_changes_world(self):
-        a = build_dataset("coco", "test")
-        b = build_dataset("coco", "test", seed_offset=1)
-        assert not np.array_equal(a.query_vecs, b.query_vecs)
-
 
 class TestStructure:
     def test_objectnet_single_vector_images(self):

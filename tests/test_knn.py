@@ -1,8 +1,8 @@
-"""Tests for kNN graph construction (numpy reference + Spark build)."""
+"""Tests for kNN graph construction."""
 import numpy as np
 import pytest
 
-from repro.graph.knn import edges_to_arrays, knn_graph_np, knn_graph_spark
+from repro.graph.knn import knn_graph_np
 
 
 def _data(seed=0, n=300, d=12):
@@ -56,27 +56,3 @@ class TestNumpy:
         X = np.ones((4, 3), dtype=np.float32)
         idx, dist = knn_graph_np(X, 2)
         np.testing.assert_allclose(dist, 0.0, atol=1e-6)
-
-
-class TestSpark:
-    def test_matches_numpy(self, spark):
-        X = _data(n=200)
-        k = 6
-        edges = knn_graph_spark(spark, X, k).toPandas()
-        assert len(edges) == 200 * k
-        gi, gd = edges_to_arrays(edges, 200, k)
-        ni, nd = knn_graph_np(X, k)
-        np.testing.assert_allclose(np.sort(gd, axis=1), np.sort(nd, axis=1), atol=1e-5)
-        # distances identical implies same neighborhoods up to ties
-        same = (gi == ni).mean()
-        assert same > 0.95
-
-    def test_k_too_large_raises(self, spark):
-        with pytest.raises(ValueError):
-            knn_graph_spark(spark, _data(n=4), 4)
-
-    def test_non_finite_raises(self, spark):
-        X = _data(n=20)
-        X[7, 3] = np.nan
-        with pytest.raises(ValueError, match="row 7"):
-            knn_graph_spark(spark, X, 3)

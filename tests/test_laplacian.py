@@ -1,15 +1,9 @@
 """Tests for edge weights, the graph Laplacian, and ``M_D``."""
 import numpy as np
 import pytest
-from pyspark.sql import functions as F
 
-from repro.graph.knn import knn_graph_np, knn_graph_spark
-from repro.graph.laplacian import (
-    build_db_alignment,
-    edge_weights,
-    m_matrix_np,
-    m_matrix_spark,
-)
+from repro.graph.knn import knn_graph_np
+from repro.graph.laplacian import build_db_alignment, edge_weights, m_matrix_np
 
 
 def _data(seed=0, n=200, d=10):
@@ -70,16 +64,6 @@ class TestMNumpy:
         np.testing.assert_allclose(M, M.T, atol=1e-10)
         assert np.linalg.eigvalsh(M).min() > -1e-9
 
-    def test_unnormalized_is_n_times(self):
-        X = _data(2, n=50)
-        idx, dist = knn_graph_np(X, 3)
-        w, _ = edge_weights(dist)
-        np.testing.assert_allclose(
-            m_matrix_np(X, idx, w, normalize=False),
-            m_matrix_np(X, idx, w) * len(X),
-            rtol=1e-10,
-        )
-
     def test_build_db_alignment_shape(self):
         X = _data(3, n=80, d=12)
         M = build_db_alignment(X, k=5)
@@ -111,19 +95,3 @@ class TestMNumpy:
         # constant -> small penalty in all directions; but the separating
         # direction still varies most across edges.
         assert sep @ M @ sep >= flat @ M @ flat - 1e-6
-
-
-class TestMSpark:
-    def test_matches_numpy(self, spark):
-        X = _data(5, n=150, d=8)
-        k = 5
-        idx, dist = knn_graph_np(X, k)
-        w, _ = edge_weights(dist)
-        M_np = m_matrix_np(X, idx, w)
-        edges = knn_graph_spark(spark, X, k)
-        sigma = float(np.median(dist))
-        edges = edges.withColumn(
-            "weight", F.exp(-(F.col("dist") ** 2) / (2.0 * sigma**2))
-        )
-        M_sp = m_matrix_spark(spark, X, edges)
-        np.testing.assert_allclose(M_sp, M_np, rtol=1e-5, atol=1e-8)

@@ -54,6 +54,12 @@ class TestRunSearch:
         out = run_search(tiny, 0, ZeroShotRanker(), target=100, budget=60)
         assert out.n_shown <= 5
 
+    @pytest.mark.parametrize("target, budget", [(0, 60), (-1, 60), (10, 0), (10, -3)])
+    def test_bad_task_raises(self, target, budget):
+        ranker = ZeroShotRanker()
+        with pytest.raises(ValueError, match="target and budget"):
+            run_search(DS, 0, ranker, target=target, budget=budget)
+
 
 class TestImageFeedback:
     def test_irrelevant_image_all_negative(self):

@@ -10,7 +10,7 @@ from repro.bench.runner import build_bundle, make_ranker
 from repro.embed.clipsim import WorldSpec, generate_world
 from repro.embed.datasets import build_dataset
 from repro.oracle import assert_equivalent
-from repro.store.scan import score_vectors, topk_images, topk_vectors
+from repro.store.scan import topk_images
 
 DS = generate_world(WorldSpec(n_images=80, n_categories=4, d=8, grid=(1, 2), seed=5))
 
@@ -26,42 +26,27 @@ def _q(cat=0):
     return DS.query_vecs[cat].astype(np.float64)
 
 
+def _image_scores(vec_df, q):
+    """Every image's store score in ``image_id`` order: the lookup at
+    ``k`` = all images."""
+    got = topk_images(vec_df, q, DS.n_images).toPandas()
+    assert len(got) == DS.n_images
+    return got.sort_values("image_id")["score"].to_numpy()
+
+
 class TestScore:
     def test_scores_match_numpy(self, spark, vec_df):
         q = _q()
-        got = (
-            score_vectors(vec_df, q)
-            .select("vec_id", "score")
-            .toPandas()
-            .sort_values("vec_id")["score"]
-            .to_numpy()
-        )
-        expect = DS.vectors.astype(np.float64) @ q
-        np.testing.assert_allclose(got, expect, rtol=1e-6, atol=1e-9)
-
-    def test_scores_match_duckdb_oracle(self, spark, vec_df):
-        """Full score table equality via the DuckDB list_inner_product oracle."""
-        q = _q(1)
-        spark_scores = score_vectors(vec_df, q).select("vec_id", "score")
-        qlit = "[" + ",".join(repr(float(v)) for v in q) + "]"
-        assert_equivalent(
-            spark_scores,
-            f"SELECT vec_id, list_inner_product(vector, {qlit}::DOUBLE[]) AS score "
-            "FROM vectors",
-            vectors=DS.to_vector_pdf(),
-        )
+        expect = np.full(DS.n_images, -np.inf)
+        np.maximum.at(expect, DS.image_of, DS.vectors.astype(np.float64) @ q)
+        np.testing.assert_allclose(_image_scores(vec_df, q), expect, rtol=1e-6, atol=1e-9)
 
     def test_image_max_matches_duckdb_oracle(self, spark, vec_df):
         """Multiscale max-per-image aggregation vs DuckDB GROUP BY."""
         q = _q(2)
-        spark_img = (
-            score_vectors(vec_df, q)
-            .groupBy("image_id")
-            .agg(F.max("score").alias("score"))
-        )
         qlit = "[" + ",".join(repr(float(v)) for v in q) + "]"
         assert_equivalent(
-            spark_img,
+            topk_images(vec_df, q, DS.n_images),
             "SELECT image_id, max(list_inner_product(vector, "
             f"{qlit}::DOUBLE[])) AS score FROM vectors GROUP BY image_id",
             vectors=DS.to_vector_pdf(),
@@ -69,15 +54,6 @@ class TestScore:
 
 
 class TestTopK:
-    def test_topk_vectors_are_the_k_largest(self, spark, vec_df):
-        q = _q()
-        k = 7
-        got = topk_vectors(vec_df, q, k).toPandas()
-        assert len(got) == k
-        scores = DS.vectors.astype(np.float64) @ q
-        expect = np.sort(scores)[-k:][::-1]
-        np.testing.assert_allclose(np.sort(got["score"]), np.sort(expect), atol=1e-9)
-
     def test_topk_images_max_patch_semantics(self, spark, vec_df):
         q = _q(3)
         k = 5
@@ -158,41 +134,27 @@ class TestLookupPlan:
         assert len(jobs) == 1 and len(ran) == 1
 
     def test_scores_are_the_in_order_float64_sum(self, spark, vec_df):
-        """q reaches the plan bit for bit: each score equals the sequential
-        float64 sum of ``vector[i] * q[i]`` exactly."""
+        """q reaches the plan bit for bit: each image's score equals the max
+        over its vectors of the sequential float64 sum of ``vector[i] *
+        q[i]`` exactly (a max does not round)."""
         q = _q(3)
-        got = (
-            score_vectors(vec_df, q)
-            .select("vec_id", "score")
-            .toPandas()
-            .sort_values("vec_id")["score"]
-            .to_numpy()
+        expect = np.full(DS.n_images, -np.inf)
+        np.maximum.at(
+            expect, DS.image_of, np.cumsum(DS.vectors.astype(np.float64) * q, axis=1)[:, -1]
         )
-        expect = np.cumsum(DS.vectors.astype(np.float64) * q, axis=1)[:, -1]
-        np.testing.assert_array_equal(got, expect)
+        np.testing.assert_array_equal(_image_scores(vec_df, q), expect)
 
 
 class TestBadInput:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize(
-        "lookup",
-        [
-            lambda df, q: score_vectors(df, q),
-            lambda df, q: topk_vectors(df, q, 3),
-            lambda df, q: topk_images(df, q, 3, exclude_images=[1]),
-        ],
-        ids=["score_vectors", "topk_vectors", "topk_images"],
-    )
-    def test_non_finite_q_raises(self, spark, vec_df, lookup, bad):
+    def test_non_finite_q_raises(self, spark, vec_df, bad):
         q = _q().copy()
         q[2] = bad
         with pytest.raises(ValueError, match="finite"):
-            lookup(vec_df, q).collect()
+            topk_images(vec_df, q, 3, exclude_images=[1])
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one_raises(self, spark, vec_df, k):
-        with pytest.raises(ValueError, match="k must be"):
-            topk_vectors(vec_df, _q(), k)
         with pytest.raises(ValueError, match="k must be"):
             topk_images(vec_df, _q(), k)
 
@@ -202,8 +164,6 @@ class TestBadInput:
         msg = f"q has {d} dims but stored vector has {DS.spec.d}"
         with pytest.raises(Exception, match=msg):
             topk_images(vec_df, q, 1).collect()
-        with pytest.raises(Exception, match=msg):
-            score_vectors(vec_df, q).collect()
 
 
 class TestOracle:
