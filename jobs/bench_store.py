@@ -11,12 +11,16 @@ a temporary directory) with this working tree:
   pair use the same seed);
 - the ``store.*`` per-layer metrics from one ``--trace 1`` run per side;
 - the Table 6 lookup at 160K multiscale vectors: Table 6's CLIP cell
-  (``bench.latency.measure_iteration``) on ``build_fixture``'s store, plus
-  the top-10 of both sides compared over random queries.
+  (``bench.latency.measure_iteration``, one search round) on
+  ``build_fixture``'s store, plus the top-10 of both sides compared over
+  random queries.
 
 Every run is a fresh process, so the two sides never share a JVM. The two
-sides' perfbench environment fingerprints must match. Writes
-``BENCH_store.json`` at the repository root.
+sides' perfbench environment fingerprints must match, and so must every
+top-10: a side that builds another Table 6 database times another cell.
+Both revisions must therefore build that database with ``generate_world``
+(older revisions drew random vectors). Writes ``BENCH_store.json`` at the
+repository root, and nothing when a check fails.
 """
 from __future__ import annotations
 
@@ -43,8 +47,8 @@ STORE_LAYERS = (
 )
 
 # Run inside one checkout: build the 160K-vector multiscale store of
-# Table 6's "BDD" row, time its CLIP cell (a top-10 lookup) and record the
-# top-10 of random unit queries.
+# Table 6's "BDD" row, time its CLIP cell and record the top-10 of random
+# unit queries.
 TABLE6_LOOKUP = r"""
 import json, sys
 import numpy as np
@@ -141,6 +145,8 @@ def main(argv: list[str] | None = None) -> None:
         if len(fingerprints["parent"] | fingerprints["change"]) != 1:
             raise RuntimeError(f"perfbench environments differ, results not comparable: {fingerprints}")
         lookups = {s: _table6_lookup(root) for s, root in sides.items()}
+    if lookups["parent"]["tops"] != lookups["change"]["tops"]:
+        raise RuntimeError("Table 6 top-10s differ: the two sides built different stores")
 
     wins = sum(c["round_ms_p50"] < p_["round_ms_p50"] for p_, c in zip(runs["parent"], runs["change"]))
     record = {

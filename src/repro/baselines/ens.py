@@ -97,19 +97,11 @@ class EnsRanker:
             raise ValueError(
                 "ENS is implemented for coarse indexing only (as in the paper)"
             )
-        self.reset_scores(
-            (ds.vectors @ check_query(q0).astype(np.float32)).astype(np.float64)
-        )
-
-    def reset_scores(self, s0: np.ndarray) -> None:
-        """Start a search from precomputed zero-shot scores (one per vertex).
-
-        Split out from :meth:`reset` so the latency benchmark can set up a
-        mid-search state without a full dataset object.
-        """
-        self.s0 = np.asarray(s0, dtype=np.float64)
-        if self.s0.shape != (self._n,):
-            raise ValueError(f"s0 shape {self.s0.shape} != ({self._n},)")
+        if ds.n_vectors != self._n:
+            raise ValueError(
+                f"dataset has {ds.n_vectors} vectors but the kNN graph has {self._n} rows"
+            )
+        self.s0 = (ds.vectors @ check_query(q0).astype(np.float32)).astype(np.float64)
         if self.gamma_override is not None:
             self.gamma = np.clip(self.gamma_override, 1e-6, 1 - 1e-6)
         else:

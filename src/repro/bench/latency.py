@@ -1,23 +1,27 @@
 """Table 6 — per-iteration system latency vs database size.
 
-One iteration of the interactive loop = (update the ranking model from the
-feedback so far) + (one lookup into the vector store). Per method:
+A greedy or ENS cell is one round of the search the accuracy tables run,
+with the same rankers (``make_ranker``), feedback and pick: choose the next
+unseen image, reveal its ground-truth feedback, update the ranker. The
+search starts with category 0's first 5 relevant and 15 irrelevant images
+shown. Per method:
 
-- ``CLIP``    — zero-shot: lookup only (the Spark scan store).
-- ``Rocchio`` — O(feedback) numpy query update + lookup.
-- ``SeeSaw``  — the L-BFGS solve of Eq. 5 (O(feedback), never O(N)) + lookup.
+- ``CLIP``    — a top-1 Spark store lookup excluding shown images.
+- ``Rocchio`` — that lookup + the O(feedback) numpy query update.
+- ``SeeSaw``  — that lookup + the L-BFGS solve of Eq. 5 (O(feedback),
+  never O(N)).
 - ``ENS``     — kNN-posterior + non-myopic lookahead over the *whole*
-  database (O(N*k) numpy) each step; marked NA at multiscale scale, as in
-  the paper.
+  database (O(N*k) numpy), the loop's pick (``best_unseen``) and the
+  posterior update; marked NA at multiscale scale, as in the paper.
 - ``prop.``   — label propagation over the kNN edge list as Spark joins
-  (O(E) shuffle per iteration) + lookup: the linear-in-N cost SeeSaw's
+  (O(E) shuffle per iteration) + a top-10: the linear-in-N cost SeeSaw's
   ``M_D`` approximation removes.
 
 Scales are 1/10 the paper's vector counts (DESIGN.md §2); the claim under
-test is the *scaling shape*, not the absolute numbers. The kNN graph used
-by ENS/prop is a cheap synthetic graph (random k neighbors): graph topology
-affects result quality, not per-iteration cost, which is all this table
-measures.
+test is the *scaling shape*, not the absolute numbers. The databases are
+``generate_world`` worlds; the kNN graph used by ENS/prop is random (k
+neighbors per vector) and ``M_D`` a scaled identity: they affect result
+quality, not per-iteration cost, which is all this table measures.
 """
 from __future__ import annotations
 
@@ -29,10 +33,12 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.baselines.ens import EnsRanker
-from repro.core.aligner import AlignerParams, QueryAligner
+from repro.bench.loop import best_unseen, image_feedback
+from repro.bench.runner import DatasetBundle, make_ranker
+from repro.core.linear import LinearRanker
+from repro.embed.clipsim import WorldSpec, generate_world
 from repro.graph.labelprop import label_propagation_spark
-from repro.store.scan import topk_images, vector_table
+from repro.store.scan import topk_images
 
 # (row label, #vectors, multiscale?) — 1/10 of the paper's Table 6 scales.
 SCALES = [
@@ -43,75 +49,51 @@ SCALES = [
     ("COCO", 160_000, True),
 ]
 METHODS = ["CLIP", "ENS", "Rocchio", "SeeSaw", "prop."]
+# make_ranker's name for each method a search round times.
+RANKERS = {"CLIP": "zeroshot", "ENS": "ens", "Rocchio": "rocchio", "SeeSaw": "seesaw"}
+BUDGET = 60  # images per search (the paper's find-10-in-60 task)
 
 
 @dataclass
 class LatencyFixture:
-    """One database scale: vectors on Spark + driver-side feedback state."""
+    """One database scale: the dataset bundle and its tables on Spark."""
 
-    label: str
-    n_vectors: int
     multiscale: bool
+    bundle: DatasetBundle
     vec_df: DataFrame
-    edges_df: DataFrame | None
-    graph_idx: np.ndarray
-    graph_w: np.ndarray
-    q0: np.ndarray
-    X_fb: np.ndarray
-    y_fb: np.ndarray
-    M: np.ndarray
-
-
-def _random_unit(g: np.random.Generator, n: int, d: int) -> np.ndarray:
-    v = g.standard_normal((n, d)).astype(np.float32)
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    return v
+    edges_df: DataFrame
 
 
 def build_fixture(
-    spark: SparkSession,
-    label: str,
-    n_vectors: int,
-    multiscale: bool,
-    *,
-    d: int = 64,
-    k: int = 20,
-    n_feedback: int = 30,
-    seed: int = 0,
+    spark: SparkSession, label: str, n_vectors: int, multiscale: bool
 ) -> LatencyFixture:
-    """Random vector DB of the requested size + synthetic kNN graph."""
-    g = np.random.default_rng(seed)
-    vecs = _random_unit(g, n_vectors, d)
+    """A synthetic world of ``n_vectors`` vectors (10 per image when
+    multiscale), its store table and a random kNN graph."""
     per_img = 10 if multiscale else 1
-    pdf = pd.DataFrame(
-        {
-            "vec_id": np.arange(n_vectors, dtype=np.int64),
-            "image_id": (np.arange(n_vectors) // per_img).astype(np.int64),
-            "is_coarse": (np.arange(n_vectors) % per_img == 0),
-            "vector": list(vecs.astype(np.float64)),
-        }
+    grid = (3, 3) if multiscale else (0, 0)
+    ds = generate_world(
+        WorldSpec(name=label, n_images=n_vectors // per_img, n_categories=20, d=64,
+                  grid=grid, seed=0)
     )
-    vec_df = vector_table(spark, pdf).cache()
+    vec_df = ds.to_vector_df(spark).cache()
     vec_df.count()  # materialize so measurements exclude the build
 
     # Cheap synthetic kNN graph: random distinct-ish neighbors. Topology is
     # irrelevant to per-iteration cost (see module docstring).
-    idx = g.integers(0, n_vectors, size=(n_vectors, k)).astype(np.int64)
-    w = g.random((n_vectors, k)) * 0.5 + 0.25
-    src = np.repeat(np.arange(n_vectors, dtype=np.int64), k)
+    g = np.random.default_rng(0)
+    k = 20
+    idx = g.integers(0, ds.n_vectors, size=(ds.n_vectors, k)).astype(np.int64)
+    w = g.random((ds.n_vectors, k)) * 0.5 + 0.25
+    src = np.repeat(np.arange(ds.n_vectors, dtype=np.int64), k)
     edges = pd.DataFrame(
         {"src": src, "dst": idx.ravel(), "weight": w.ravel().astype(np.float64)}
     )
     edges_df = spark.createDataFrame(edges).cache()
     edges_df.count()
 
-    q0 = _random_unit(g, 1, d)[0].astype(np.float64)
-    X_fb = _random_unit(g, n_feedback, d).astype(np.float64)
-    y_fb = (g.random(n_feedback) < 0.3).astype(np.float64)
-    M = np.eye(d) * 0.03  # magnitude-realistic stand-in; (d,d) like M_D
-    return LatencyFixture(
-        label, n_vectors, multiscale, vec_df, edges_df, idx, w, q0, X_fb, y_fb, M
-    )
+    M = np.eye(ds.spec.d) * 0.03  # magnitude-realistic stand-in; (d,d) like M_D
+    bundle = DatasetBundle(ds, M=M, graph_idx=idx, graph_w=w)
+    return LatencyFixture(multiscale, bundle, vec_df, edges_df)
 
 
 def _time(fn, *, reps: int = 3) -> float:
@@ -125,47 +107,7 @@ def _time(fn, *, reps: int = 3) -> float:
 
 
 def measure_iteration(fix: LatencyFixture, method: str, *, reps: int = 3) -> float | None:
-    """Median seconds for one loop iteration of ``method`` on this DB."""
-    def lookup(q: np.ndarray) -> None:
-        topk_images(fix.vec_df, q, 10).collect()
-
-    if method == "CLIP":
-        return _time(lambda: lookup(fix.q0), reps=reps)
-
-    if method == "Rocchio":
-        def step() -> None:
-            pos = fix.X_fb[fix.y_fb > 0.5]
-            neg = fix.X_fb[fix.y_fb <= 0.5]
-            q = fix.q0 + 0.5 * pos.mean(axis=0) - 0.25 * neg.mean(axis=0)
-            lookup(q / np.linalg.norm(q))
-
-        return _time(step, reps=reps)
-
-    if method == "SeeSaw":
-        aligner = QueryAligner(AlignerParams(), M=fix.M)
-
-        def step() -> None:
-            q = aligner.align(fix.q0, fix.X_fb, fix.y_fb)
-            lookup(q)
-
-        return _time(step, reps=reps)
-
-    if method == "ENS":
-        if fix.multiscale:
-            return None  # NA in the paper: ENS is coarse-only
-        ranker = EnsRanker(fix.graph_idx, fix.graph_w, horizon=60)
-        ranker.reset_scores(np.random.default_rng(1).random(fix.n_vectors) - 0.5)
-        for v in range(20):  # some labeled state, as mid-search
-            pos = [v] if v % 3 == 0 else []
-            neg = [] if v % 3 == 0 else [v]
-            ranker.observe(v, v % 3 == 0, np.array(pos), np.array(neg))
-
-        def step() -> None:
-            s = ranker.vector_scores(40)
-            int(np.argmax(s))
-
-        return _time(step, reps=reps)
-
+    """Median seconds for one round of ``method``'s search on this DB."""
     if method == "prop.":
         labeled = np.arange(20)
         labels = (labeled % 3 == 0).astype(np.float64)
@@ -176,14 +118,39 @@ def measure_iteration(fix: LatencyFixture, method: str, *, reps: int = 3) -> flo
                 fix.edges_df,
                 labeled,
                 labels,
-                fix.n_vectors,
+                fix.bundle.ds.n_vectors,
                 n_iter=3,
             )
             scores.orderBy(F.desc("score")).limit(10).collect()
 
         return _time(step, reps=reps)
 
-    raise KeyError(method)
+    name = RANKERS[method]
+    if method == "ENS" and fix.multiscale:
+        return None  # NA in the paper: ENS is coarse-only
+    ds = fix.bundle.ds
+    ranker = make_ranker(name, {}, fix.bundle)
+    ranker.reset(ds, ds.query_vecs[0].astype(np.float64))
+    # Mid-search state: category 0's first relevant and irrelevant images.
+    rel = ds.rel_image[0]
+    shown = [*np.flatnonzero(rel)[:5].tolist(), *np.flatnonzero(~rel)[:15].tolist()]
+    seen = np.zeros(ds.n_images, dtype=bool)
+    for img in shown:
+        ranker.observe(img, *image_feedback(ds, 0, img))
+        seen[img] = True
+
+    def step() -> None:
+        if isinstance(ranker, LinearRanker):
+            top = topk_images(fix.vec_df, ranker.query, 1, exclude_images=shown).collect()
+            best = int(top[0]["image_id"])
+        else:
+            vscores = np.asarray(ranker.vector_scores(BUDGET - len(shown)), dtype=np.float64)
+            best = best_unseen(ds, vscores, seen)
+        seen[best] = True
+        shown.append(best)
+        ranker.observe(best, *image_feedback(ds, 0, best))
+
+    return _time(step, reps=reps)
 
 
 def table6(spark: SparkSession, *, reps: int = 3, scales=None) -> pd.DataFrame:
@@ -200,6 +167,5 @@ def table6(spark: SparkSession, *, reps: int = 3, scales=None) -> pd.DataFrame:
             row[m] = measure_iteration(fix, m, reps=reps)
         rows.append(row)
         fix.vec_df.unpersist()
-        if fix.edges_df is not None:
-            fix.edges_df.unpersist()
+        fix.edges_df.unpersist()
     return pd.DataFrame(rows)

@@ -82,6 +82,17 @@ def image_feedback(
     return True, pos, neg
 
 
+def best_unseen(ds: EmbeddedDataset, vscores: np.ndarray, seen: np.ndarray) -> int | None:
+    """The unseen image with the highest score, an image scoring the max over
+    its vectors (§4.3); ties go to the lowest image id. ``None`` once no
+    unseen image has a finite score, i.e. every image has been shown."""
+    img_scores = np.full(ds.n_images, -np.inf)
+    np.maximum.at(img_scores, ds.image_of, vscores)
+    img_scores[seen] = -np.inf
+    best = int(np.argmax(img_scores))
+    return best if np.isfinite(img_scores[best]) else None
+
+
 def run_search(
     ds: EmbeddedDataset,
     cat: int,
@@ -100,15 +111,11 @@ def run_search(
     shown: list[int] = []
     rels: list[bool] = []
     found = 0
-    image_of = ds.image_of
     for _ in range(budget):
         vscores = np.asarray(ranker.vector_scores(budget - len(shown)), dtype=np.float64)
-        img_scores = np.full(ds.n_images, -np.inf)
-        np.maximum.at(img_scores, image_of, vscores)  # image score = max patch
-        img_scores[seen] = -np.inf
-        best = int(np.argmax(img_scores))
-        if not np.isfinite(img_scores[best]):
-            break  # every image shown already
+        best = best_unseen(ds, vscores, seen)
+        if best is None:
+            break
         seen[best] = True
         relevant, pos, neg = image_feedback(ds, cat, best)
         shown.append(best)

@@ -83,7 +83,9 @@ def make_ranker(method: str, params: dict[str, Any], bundle: DatasetBundle):
         if bundle.graph_idx is None:
             raise ValueError("ens requires a bundle with a kNN graph")
         gamma = None
-        if params.get("calibrated") and bundle.calibrated_gamma is not None:
+        if params.get("calibrated"):
+            if bundle.calibrated_gamma is None:
+                raise ValueError("calibrated ens requires a bundle with calibrated_gamma")
             gamma = bundle.calibrated_gamma[int(params["cat"])]
         return EnsRanker(
             bundle.graph_idx,

@@ -168,7 +168,8 @@ class EmbeddedDataset:
                 "vec_id": np.arange(self.n_vectors, dtype=np.int64),
                 "image_id": self.image_of.astype(np.int64),
                 "is_coarse": self.is_coarse.astype(bool),
-                "vector": list(self.vectors.astype(np.float64)),
+                # Python lists: Spark's non-Arrow conversion rejects numpy rows.
+                "vector": self.vectors.astype(np.float64).tolist(),
             }
         )
 

@@ -131,6 +131,14 @@ class TestScoring:
         with pytest.raises(ValueError):
             r.reset(ds_m, ds_m.query_vecs[0].astype(np.float64))
 
+    def test_graph_of_another_dataset_rejected(self):
+        other = generate_world(
+            WorldSpec(n_images=81, n_categories=4, d=8, grid=(0, 0), seed=6)
+        )
+        r = EnsRanker(GI, GW)
+        with pytest.raises(ValueError, match="81 vectors but the kNN graph has 80 rows"):
+            r.reset(other, other.query_vecs[0].astype(np.float64))
+
     def test_gamma_override_used(self):
         gam = np.full(DS.n_vectors, 0.42)
         r = EnsRanker(GI, GW, gamma=gam)

@@ -7,12 +7,12 @@ from repro.bench import latency
 
 @pytest.fixture(scope="module")
 def coarse_fix(spark):
-    return latency.build_fixture(spark, "tiny-", 800, False, n_feedback=10)
+    return latency.build_fixture(spark, "tiny-", 800, False)
 
 
 @pytest.fixture(scope="module")
 def multi_fix(spark):
-    return latency.build_fixture(spark, "tiny", 1600, True, n_feedback=10)
+    return latency.build_fixture(spark, "tiny", 1600, True)
 
 
 class TestFixture:
@@ -24,7 +24,7 @@ class TestFixture:
         assert n_imgs == 160  # 10 vectors per image
 
     def test_graph_shape(self, coarse_fix):
-        assert coarse_fix.graph_idx.shape == (800, 20)
+        assert coarse_fix.bundle.graph_idx.shape == (800, 20)
 
 
 class TestMeasurement:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import ZeroShotRanker
-from repro.bench.loop import image_feedback, run_search
+from repro.bench.loop import best_unseen, image_feedback, run_search
 from repro.embed.clipsim import WorldSpec, generate_world
 
 DS = generate_world(WorldSpec(n_images=150, n_categories=6, d=16, grid=(2, 2), seed=3))
@@ -59,6 +59,34 @@ class TestRunSearch:
         ranker = ZeroShotRanker()
         with pytest.raises(ValueError, match="target and budget"):
             run_search(DS, 0, ranker, target=target, budget=budget)
+
+
+class TestBestUnseen:
+    # DS has 5 vectors per image: image i owns vectors 5i..5i+4.
+    def test_image_scores_max_over_its_vectors(self):
+        vs = np.zeros(DS.n_vectors)
+        vs[5 * 7 + 3] = 0.9  # one patch of image 7
+        vs[5 * 2 : 5 * 3] = 0.5  # every vector of image 2, each below 0.9
+        seen = np.zeros(DS.n_images, dtype=bool)
+        assert best_unseen(DS, vs, seen) == 7
+        seen[7] = True
+        assert best_unseen(DS, vs, seen) == 2
+
+    def test_ties_go_to_lowest_image_id(self):
+        vs = np.zeros(DS.n_vectors)
+        vs[[5 * 40 + 1, 5 * 9 + 4, 5 * 90]] = 1.0
+        seen = np.zeros(DS.n_images, dtype=bool)
+        assert best_unseen(DS, vs, seen) == 9
+        seen[9] = True
+        assert best_unseen(DS, vs, seen) == 40
+
+    def test_none_once_every_image_is_seen(self):
+        vs = np.arange(DS.n_vectors, dtype=np.float64)
+        seen = np.ones(DS.n_images, dtype=bool)
+        seen[3] = False
+        assert best_unseen(DS, vs, seen) == 3
+        seen[3] = True
+        assert best_unseen(DS, vs, seen) is None
 
 
 class TestImageFeedback:

@@ -38,6 +38,11 @@ class TestMakeRanker:
         with pytest.raises(ValueError):
             make_ranker("ens", {}, bare)
 
+    def test_calibrated_ens_without_gamma_raises(self, bundles):
+        """A calibrated Table 4 row must not silently run with the raw prior."""
+        with pytest.raises(ValueError, match="calibrated"):
+            make_ranker("ens", {"calibrated": True, "cat": 0}, bundles["toy:coarse"])
+
     @pytest.mark.parametrize("method", ["zeroshot", "fewshot", "rocchio", "seesaw", "ens"])
     @pytest.mark.parametrize("bad", ["zero", "nan", "inf"])
     def test_degenerate_q0_raises(self, bundles, method, bad):

@@ -78,6 +78,24 @@ class TestTopK:
         assert (np.diff(got["score"].to_numpy()) <= 1e-12).all()
 
 
+class TestBuild:
+    def test_table_builds_with_arrow_off(self, spark, vec_df):
+        """Spark's non-Arrow conversion (its default) builds the same table."""
+        key = "spark.sql.execution.arrow.pyspark.enabled"
+        old = spark.conf.get(key)
+        spark.conf.set(key, "false")
+        try:
+            df = DS.to_vector_df(spark).cache()
+        finally:
+            spark.conf.set(key, old)
+        try:
+            for cat in range(DS.n_categories):
+                got = topk_images(df, _q(cat), 10).collect()
+                assert got == topk_images(vec_df, _q(cat), 10).collect()
+        finally:
+            df.unpersist()
+
+
 class TestTopKOracle:
     def test_topk_images_with_exclusions_match_duckdb(self, spark, vec_df):
         """The whole lookup (exclusion, per-image max, order, limit) against
