@@ -167,6 +167,17 @@ def _tasks(
     return tasks
 
 
+def _sweep_and_agg(
+    spark: SparkSession,
+    bundles: dict[str, DatasetBundle],
+    configs: list[tuple[str, str, dict[str, Any], str]],
+) -> pd.DataFrame:
+    """Run every search of ``configs`` and aggregate all/hard mAP; the hard
+    subsets come from the sweep's coarse zero-shot rows."""
+    res = run_sweep(spark, bundles, _tasks(bundles, configs))
+    return _agg(res, hard_subsets(res[res["config"] == "zero-shot CLIP"]))
+
+
 def table2(spark: SparkSession, scale: str = "bench") -> pd.DataFrame:
     """Table 2: the optimization-ablation stack, all + hard mAP."""
     bundles = _bundles_for(DATASET_NAMES, scale, coarse=True, multiscale=True)
@@ -180,9 +191,7 @@ def table2(spark: SparkSession, scale: str = "bench") -> pd.DataFrame:
             (m, "seesaw", {"lam_d": 0}, "+Query align"),
             (m, "seesaw", {}, "+DB align"),
         ]
-    res = run_sweep(spark, bundles, _tasks(bundles, configs))
-    hard = hard_subsets(res[res["config"] == "zero-shot CLIP"])
-    return _agg(res, hard)
+    return _sweep_and_agg(spark, bundles, configs)
 
 
 def table3(spark: SparkSession, scale: str = "bench") -> pd.DataFrame:
@@ -200,9 +209,7 @@ def table3(spark: SparkSession, scale: str = "bench") -> pd.DataFrame:
             (c, "rocchio", {}, "Rocchio"),
             (c, "seesaw", {}, "this work"),
         ]
-    res = run_sweep(spark, bundles, _tasks(bundles, configs))
-    hard = hard_subsets(res[res["config"] == "zero-shot CLIP"])
-    return _agg(res, hard)
+    return _sweep_and_agg(spark, bundles, configs)
 
 
 def _attach_calibrated_gamma(bundle: DatasetBundle) -> None:
@@ -233,9 +240,7 @@ def table4(spark: SparkSession, scale: str = "bench") -> pd.DataFrame:
             configs.append(
                 (c, "ens", {"horizon": t, "calibrated": True}, f"calibrated t={t}")
             )
-    res = run_sweep(spark, bundles, _tasks(bundles, configs))
-    hard = hard_subsets(res[res["config"] == "zero-shot CLIP"])
-    return _agg(res, hard)
+    return _sweep_and_agg(spark, bundles, configs)
 
 
 def table7(spark: SparkSession, scale: str = "bench") -> pd.DataFrame:
@@ -254,9 +259,7 @@ def table7(spark: SparkSession, scale: str = "bench") -> pd.DataFrame:
                     f"lc={lam_c} ld={lam_d} l={lam}",
                 )
             )
-    res = run_sweep(spark, bundles, _tasks(bundles, configs))
-    hard = hard_subsets(res[res["config"] == "zero-shot CLIP"])
-    return _agg(res, hard)
+    return _sweep_and_agg(spark, bundles, configs)
 
 
 def pivot(

@@ -1,24 +1,22 @@
-"""Spark-parallel benchmark sweeps (the "feedback-driven re-ranking UDF").
+"""Spark-parallel benchmark sweeps.
 
 The accuracy benchmarks run thousands of independent interactive-search
 loops: (dataset, representation, method, category) combinations. This module
-expresses the sweep as one Spark job: a DataFrame of task rows processed
-with ``applyInPandas``; each task replays its full 60-step feedback loop
-against a broadcast bundle of the dataset's vectors, ground truth and
-precomputed ``M_D`` matrices. That keeps the per-round aligner solve
-O(feedback) (the paper's interactivity property) while Spark provides the
-across-query parallelism of the evaluation harness.
+runs a sweep as one Spark map: the tasks are dealt into one slice per core,
+and each slice replays its searches' full 60-step feedback loops against a
+broadcast bundle of the dataset's vectors, ground truth and precomputed
+``M_D`` matrices. That keeps the per-round aligner solve O(feedback) (the
+paper's interactivity property) while Spark provides the across-query
+parallelism of the evaluation harness.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import types as T
+from pyspark.sql import SparkSession
 
 from repro.baselines import EnsRanker, FewShotRanker, RocchioRanker, ZeroShotRanker
 from repro.bench.loop import run_search
@@ -40,41 +38,30 @@ class DatasetBundle:
     calibrated_gamma: dict[int, np.ndarray] | None = None
 
 
-def build_bundle(
-    ds: EmbeddedDataset,
-    *,
-    with_m: bool = True,
-    with_graph: bool = False,
-    graph_k: int = 20,
-    m_k: int = 10,
-) -> DatasetBundle:
-    """Preprocess a dataset: ``M_D`` and (optionally) the ENS kNN graph."""
-    M = build_db_alignment(ds.vectors, k=m_k) if with_m else None
+def build_bundle(ds: EmbeddedDataset, *, with_graph: bool = False) -> DatasetBundle:
+    """Preprocess a dataset: ``M_D`` (k = 10) and, optionally, the ENS kNN
+    graph (k = 20)."""
     gi = gw = None
     if with_graph:
-        gi, gd = knn_graph_np(ds.vectors, graph_k)
+        gi, gd = knn_graph_np(ds.vectors, 20)
         gw, _ = edge_weights(gd)
-    return DatasetBundle(ds=ds, M=M, graph_idx=gi, graph_w=gw)
+    return DatasetBundle(
+        ds=ds, M=build_db_alignment(ds.vectors, k=10), graph_idx=gi, graph_w=gw
+    )
 
 
 def make_ranker(method: str, params: dict[str, Any], bundle: DatasetBundle):
-    """Instantiate a ranker by name. ``params`` are method-specific knobs."""
+    """Instantiate a ranker by name. ``params`` are method-specific knobs;
+    one that is absent takes the ranker's own default."""
     if method == "zeroshot":
         return ZeroShotRanker()
     if method == "fewshot":
-        return FewShotRanker(lam=params.get("lam", 100.0))
+        return FewShotRanker()
     if method == "rocchio":
-        return RocchioRanker(
-            alpha=params.get("alpha", 1.0),
-            beta=params.get("beta", 0.5),
-            gamma=params.get("gamma", 0.25),
-        )
+        return RocchioRanker()
     if method == "seesaw":
-        ap = AlignerParams(
-            lam=params.get("lam", 100.0),
-            lam_c=params.get("lam_c", 10.0),
-            lam_d=params.get("lam_d", 1000.0),
-        )
+        lams = {k: params[k] for k in ("lam", "lam_c", "lam_d") if k in params}
+        ap = AlignerParams(**lams)
         M = bundle.M if ap.lam_d != 0 else None
         if ap.lam_d != 0 and M is None:
             raise ValueError("seesaw with lam_d != 0 requires a bundle with M")
@@ -87,27 +74,9 @@ def make_ranker(method: str, params: dict[str, Any], bundle: DatasetBundle):
             if bundle.calibrated_gamma is None:
                 raise ValueError("calibrated ens requires a bundle with calibrated_gamma")
             gamma = bundle.calibrated_gamma[int(params["cat"])]
-        return EnsRanker(
-            bundle.graph_idx,
-            bundle.graph_w,
-            horizon=params.get("horizon", 60),
-            gamma=gamma,
-        )
+        horizon = {"horizon": params["horizon"]} if "horizon" in params else {}
+        return EnsRanker(bundle.graph_idx, bundle.graph_w, gamma=gamma, **horizon)
     raise KeyError(f"unknown method {method!r}")
-
-
-_RESULT_SCHEMA = T.StructType(
-    [
-        T.StructField("bundle", T.StringType()),
-        T.StructField("method", T.StringType()),
-        T.StructField("config", T.StringType()),
-        T.StructField("cat", T.IntegerType()),
-        T.StructField("ap", T.DoubleType()),
-        T.StructField("n_found", T.IntegerType()),
-        T.StructField("n_shown", T.IntegerType()),
-        T.StructField("n_relevant", T.IntegerType()),
-    ]
-)
 
 
 def run_sweep(
@@ -118,59 +87,41 @@ def run_sweep(
     target: int = 10,
     budget: int = 60,
 ) -> pd.DataFrame:
-    """Execute benchmark tasks in parallel on Spark; returns a pandas frame.
+    """Execute benchmark tasks in parallel on Spark; returns a pandas frame
+    with one row per task, in task order.
 
     Each task dict: ``{"bundle": name, "method": ..., "config": label,
-    "params": {...}, "cat": int}``. ``bundles`` is broadcast once; each
-    ``applyInPandas`` group replays its searches with numpy and returns AP
-    rows. Tasks go round-robin by position into ``4 * defaultParallelism``
-    groups; adaptive query execution may coalesce the groups into fewer
-    Spark tasks.
+    "params": {...}, "cat": int}``. ``bundles`` is broadcast once. Tasks go
+    round-robin by position into ``min(len(tasks), defaultParallelism)``
+    slices, and one Spark stage runs one task per slice, replaying its
+    searches with numpy.
     """
     sc = spark.sparkContext
+    n = min(len(tasks), sc.defaultParallelism) or 1
+    numbered = list(enumerate(tasks))
     b_bundles = sc.broadcast(bundles)
-    rows = pd.DataFrame(
-        {
-            "task_id": range(len(tasks)),
-            "bundle": [t["bundle"] for t in tasks],
-            "method": [t["method"] for t in tasks],
-            "config": [t.get("config", t["method"]) for t in tasks],
-            "cat": [int(t["cat"]) for t in tasks],
-            "params": [json.dumps(t.get("params", {})) for t in tasks],
-            "group": [i % (sc.defaultParallelism * 4) for i in range(len(tasks))],
-        }
-    )
-    tasks_df = spark.createDataFrame(rows)
 
-    def run_group(pdf: pd.DataFrame) -> pd.DataFrame:
+    def run_slice(slice_):
         local = b_bundles.value
-        out = []
-        for r in pdf.itertuples(index=False):
-            bundle = local[r.bundle]
-            params = json.loads(r.params)
-            params = dict(params, cat=int(r.cat))
-            ranker = make_ranker(r.method, params, bundle)
-            res = run_search(
-                bundle.ds, int(r.cat), ranker, target=target, budget=budget
+        for i, t in slice_:
+            bundle, cat = local[t["bundle"]], int(t["cat"])
+            ranker = make_ranker(t["method"], dict(t.get("params", {}), cat=cat), bundle)
+            res = run_search(bundle.ds, cat, ranker, target=target, budget=budget)
+            yield i, (
+                t["bundle"],
+                t["method"],
+                t.get("config", t["method"]),
+                cat,
+                res.ap,
+                res.n_found,
+                res.n_shown,
+                res.n_relevant_in_dataset,
             )
-            out.append(
-                (
-                    r.bundle,
-                    r.method,
-                    r.config,
-                    int(r.cat),
-                    res.ap,
-                    res.n_found,
-                    res.n_shown,
-                    res.n_relevant_in_dataset,
-                )
-            )
-        return pd.DataFrame(out, columns=[f.name for f in _RESULT_SCHEMA.fields])
 
-    result = (
-        tasks_df.groupBy("group")
-        .applyInPandas(run_group, schema=_RESULT_SCHEMA)
-        .toPandas()
-    )
-    b_bundles.unpersist()
-    return result
+    try:
+        slices = [numbered[s::n] for s in range(n)]
+        rows = sc.parallelize(slices, n).flatMap(run_slice).collect()
+    finally:
+        b_bundles.unpersist()
+    columns = ["bundle", "method", "config", "cat", "ap", "n_found", "n_shown", "n_relevant"]
+    return pd.DataFrame([row for _, row in sorted(rows)], columns=columns)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.baselines import RocchioRanker, ZeroShotRanker
 from repro.bench.loop import run_search
-from repro.bench.runner import build_bundle, make_ranker, run_sweep
+from repro.bench.runner import DatasetBundle, build_bundle, make_ranker, run_sweep
 from repro.embed.clipsim import WorldSpec, generate_world
 
 DS = generate_world(WorldSpec(n_images=120, n_categories=6, d=16, grid=(1, 2), seed=12))
@@ -29,7 +29,7 @@ class TestMakeRanker:
             make_ranker("nope", {}, bundles["toy:coarse"])
 
     def test_seesaw_without_m_raises(self):
-        bare = build_bundle(DS, with_m=False)
+        bare = DatasetBundle(DS)
         with pytest.raises(ValueError):
             make_ranker("seesaw", {}, bare)
 
@@ -58,6 +58,39 @@ class TestMakeRanker:
 
 
 class TestSweep:
+    def test_sweep_is_one_stage_of_one_task_per_core(self, spark, bundles):
+        """Tasks are dealt into one slice per core and run in one map stage,
+        with no shuffle that could merge them into fewer tasks."""
+        sc = spark.sparkContext
+        n = sc.defaultParallelism
+        tasks = [
+            {"bundle": "toy:coarse", "method": "zeroshot", "cat": i % DS.n_categories}
+            for i in range(2 * n + 1)
+        ]
+        sc.setJobGroup("test-sweep-stages", "one sweep")
+        try:
+            run_sweep(spark, bundles, tasks)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        st = sc.statusTracker()
+        jobs = st.getJobIdsForGroup("test-sweep-stages")
+        assert len(jobs) == 1
+        stages = st.getJobInfo(jobs[0]).stageIds
+        assert len(stages) == 1
+        assert st.getStageInfo(stages[0]).numCompletedTasks == n
+
+    def test_rows_come_back_in_task_order(self, spark, bundles):
+        tasks = [
+            {"bundle": b, "method": m, "cat": c}
+            for c in range(DS.n_categories)
+            for m in ("rocchio", "zeroshot")
+            for b in ("toy:multi", "toy:coarse")
+        ]
+        res = run_sweep(spark, bundles, tasks)
+        assert list(zip(res["bundle"], res["method"], res["cat"])) == [
+            (t["bundle"], t["method"], t["cat"]) for t in tasks
+        ]
+
     def test_sweep_matches_serial(self, spark, bundles):
         """The distributed sweep must reproduce serial run_search exactly."""
         tasks = [
@@ -82,6 +115,13 @@ class TestSweep:
         r1 = run_sweep(spark, bundles, tasks).sort_values("cat")["ap"].to_numpy()
         r2 = run_sweep(spark, bundles, tasks).sort_values("cat")["ap"].to_numpy()
         np.testing.assert_array_equal(r1, r2)
+
+    def test_empty_sweep_gives_empty_frame(self, spark, bundles):
+        res = run_sweep(spark, bundles, [])
+        assert res.empty
+        assert list(res.columns) == [
+            "bundle", "method", "config", "cat", "ap", "n_found", "n_shown", "n_relevant"
+        ]
 
     def test_sweep_custom_params_flow_through(self, spark, bundles):
         tasks = [
