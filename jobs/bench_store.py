@@ -116,34 +116,49 @@ def _summary(runs: list[dict], names) -> dict:
     return {n: {"median": median(r[n] for r in runs), "runs": [r[n] for r in runs]} for n in names}
 
 
+def _rev(name: str) -> str:
+    return subprocess.run(["git", "rev-parse", name], cwd=ROOT,
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
+def _extract(rev: str, dest: Path) -> Path:
+    """Write the files of git revision ``rev`` into ``dest``."""
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True, check=True)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
+    return dest
+
+
+def _interactive(sides: dict[str, Path], seconds: float) -> tuple[dict, dict, str]:
+    """``PAIRS`` alternating untraced ``interactive`` runs per side, then one
+    traced run per side: ``(runs, traced, fingerprint)``. Raises when the
+    runs' perfbench environment fingerprints are not all equal."""
+    runs: dict[str, list[dict]] = {side: [] for side in sides}
+    fingerprints = set()
+    for i in range(PAIRS):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            metrics, fp = _perfbench(sides[side], i + 1, seconds, 0)
+            runs[side].append(metrics)
+            fingerprints.add(fp)
+            print(f"pair {i + 1} {side}: {metrics}", flush=True)
+    traced = {}
+    for side, root in sides.items():
+        traced[side], fp = _perfbench(root, 1, seconds, 1)
+        fingerprints.add(fp)
+    if len(fingerprints) != 1:
+        raise RuntimeError(f"perfbench environments differ, results not comparable: {fingerprints}")
+    return runs, traced, fingerprints.pop()
+
+
 def main(argv: list[str] | None = None) -> None:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent-rev", required=True)
     args = p.parse_args(argv)
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
-    rev = subprocess.run(["git", "rev-parse", args.parent_rev], cwd=ROOT,
-                         capture_output=True, text=True, check=True).stdout.strip()
+    rev = _rev(args.parent_rev)
     with tempfile.TemporaryDirectory(prefix="bench_store_parent_") as tmp:
-        parent = Path(tmp)
-        archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True, check=True)
-        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive.stdout, check=True)
-        sides = {"parent": parent, "change": ROOT}
-
-        runs: dict[str, list[dict]] = {"parent": [], "change": []}
-        fingerprints: dict[str, set[str]] = {"parent": set(), "change": set()}
-        for i in range(PAIRS):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                metrics, fp = _perfbench(sides[side], i + 1, seconds, 0)
-                runs[side].append(metrics)
-                fingerprints[side].add(fp)
-                print(f"pair {i + 1} {side}: {metrics}", flush=True)
-        traced = {}
-        for side, root in sides.items():
-            traced[side], fp = _perfbench(root, 1, seconds, 1)
-            fingerprints[side].add(fp)
-        if len(fingerprints["parent"] | fingerprints["change"]) != 1:
-            raise RuntimeError(f"perfbench environments differ, results not comparable: {fingerprints}")
+        sides = {"parent": _extract(rev, Path(tmp)), "change": ROOT}
+        runs, traced, fingerprint = _interactive(sides, seconds)
         lookups = {s: _table6_lookup(root) for s, root in sides.items()}
     if lookups["parent"]["tops"] != lookups["change"]["tops"]:
         raise RuntimeError("Table 6 top-10s differ: the two sides built different stores")
@@ -153,7 +168,7 @@ def main(argv: list[str] | None = None) -> None:
         "what": "interactive workload and Table 6 store lookup, parent vs change",
         "command": "python jobs/bench_store.py --parent-rev " + rev,
         "parent_rev": rev,
-        "perfbench_fingerprint": fingerprints["change"].pop(),
+        "perfbench_fingerprint": fingerprint,
         "machine": {
             "nproc": len(os.sched_getaffinity(0)),
             "cpu": _cpu(),
