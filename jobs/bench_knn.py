@@ -35,7 +35,7 @@ from bench_store import (
     _cpu,
     _env,
     _extract,
-    _interactive,
+    _paired_runs,
     _rev,
     _stdout,
     _summary,
@@ -88,7 +88,7 @@ def main(argv: list[str] | None = None) -> None:
         hashes = {b[f"{name}_sha256"] for bs in builds.values() for b in bs for name in KNN_SETS}
         if len(hashes) != len(KNN_SETS):
             raise RuntimeError("kNN graphs differ between the two sides or between runs")
-        runs, traced, fingerprint = _interactive(sides, seconds)
+        runs, traced, fingerprint = _paired_runs("interactive", sides, seconds)
 
     wins = sum(c["setup_s"] < p_["setup_s"] for p_, c in zip(runs["parent"], runs["change"]))
     first = builds["change"][0]

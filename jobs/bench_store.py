@@ -84,15 +84,15 @@ def _stdout(cmd: list[str], cwd: Path, env: dict[str, str]) -> list[str]:
     return out.stdout.strip().splitlines()
 
 
-def _perfbench(root: Path, seed: int, seconds: float, trace: int) -> tuple[dict, str]:
+def _perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, str]:
     """One perfbench run: its metric values and its environment fingerprint."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", "interactive",
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     lines = _stdout(cmd, root, _env())
     env = json.loads(next(ln for ln in lines if ln.startswith("perfbench env "))[len("perfbench env "):])
     res = json.loads(lines[-1])
     if res["failed"]:
-        raise RuntimeError(f"{root}: {res['failed']} of {res['attempted']} lookups were wrong")
+        raise RuntimeError(f"{root}: {res['failed']} of {res['attempted']} {workload} checks failed")
     return {k: v["value"] for k, v in res["metrics"].items()}, env["fingerprint"]
 
 
@@ -128,8 +128,8 @@ def _extract(rev: str, dest: Path) -> Path:
     return dest
 
 
-def _interactive(sides: dict[str, Path], seconds: float) -> tuple[dict, dict, str]:
-    """``PAIRS`` alternating untraced ``interactive`` runs per side, then one
+def _paired_runs(workload: str, sides: dict[str, Path], seconds: float) -> tuple[dict, dict, str]:
+    """``PAIRS`` alternating untraced runs of ``workload`` per side, then one
     traced run per side: ``(runs, traced, fingerprint)``. Raises when the
     runs' perfbench environment fingerprints are not all equal."""
     runs: dict[str, list[dict]] = {side: [] for side in sides}
@@ -137,13 +137,13 @@ def _interactive(sides: dict[str, Path], seconds: float) -> tuple[dict, dict, st
     for i in range(PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            metrics, fp = _perfbench(sides[side], i + 1, seconds, 0)
+            metrics, fp = _perfbench(sides[side], workload, i + 1, seconds, 0)
             runs[side].append(metrics)
             fingerprints.add(fp)
             print(f"pair {i + 1} {side}: {metrics}", flush=True)
     traced = {}
     for side, root in sides.items():
-        traced[side], fp = _perfbench(root, 1, seconds, 1)
+        traced[side], fp = _perfbench(root, workload, 1, seconds, 1)
         fingerprints.add(fp)
     if len(fingerprints) != 1:
         raise RuntimeError(f"perfbench environments differ, results not comparable: {fingerprints}")
@@ -158,7 +158,7 @@ def main(argv: list[str] | None = None) -> None:
     rev = _rev(args.parent_rev)
     with tempfile.TemporaryDirectory(prefix="bench_store_parent_") as tmp:
         sides = {"parent": _extract(rev, Path(tmp)), "change": ROOT}
-        runs, traced, fingerprint = _interactive(sides, seconds)
+        runs, traced, fingerprint = _paired_runs("interactive", sides, seconds)
         lookups = {s: _table6_lookup(root) for s, root in sides.items()}
     if lookups["parent"]["tops"] != lookups["change"]["tops"]:
         raise RuntimeError("Table 6 top-10s differ: the two sides built different stores")

@@ -57,7 +57,8 @@ class EnsRanker:
     Parameters
     ----------
     graph_idx, graph_w:
-        (N, k) kNN neighbor indices and edge weights of the coarse vectors.
+        (N, k) kNN neighbor indices and non-negative edge weights of the
+        coarse vectors.
     horizon:
         Initial reward horizon ``t`` (paper: 60). Each step shrinks it to
         ``min(horizon, remaining)`` via the loop's ``remaining`` argument.
@@ -65,6 +66,13 @@ class EnsRanker:
         Optional per-vertex prior probabilities (the calibrated-``gamma_i``
         rows of Table 4). ``None`` -> raw ``(s+1)/2`` mapping of the
         zero-shot scores.
+
+    The lookahead works on the forward (N, k) layout: entry ``(j, c)`` is
+    the edge from ``j`` to its neighbor ``i = idx[j, c]``, and labeling
+    ``i`` changes ``p_j`` through it. Per edge the ranker caches
+    ``1 + sum_w_j + w`` and the posterior ``p_j`` would take if ``i`` were
+    labeled positive. A label changes the sums of its reverse neighbors
+    only, so ``observe`` refreshes just their rows.
     """
 
     def __init__(
@@ -77,18 +85,19 @@ class EnsRanker:
     ):
         self.idx = np.asarray(graph_idx, dtype=np.int64)
         self.w = np.asarray(graph_w, dtype=np.float64)
+        if (self.w < 0).any():
+            raise ValueError("kNN edge weights must be non-negative")
         self.horizon = horizon
         self.gamma_override = gamma
         n, k = self.idx.shape
-        # Reverse adjacency: labeling i updates the posterior of every j
-        # with i in N(j). Flattened CSR-style arrays keyed by dst.
-        src = np.repeat(np.arange(n, dtype=np.int64), k)
+        # Reverse adjacency, CSR-style and keyed by i: rev_pos[rev_ptr[i]:
+        # rev_ptr[i + 1]] are the flat positions in the (n, k) layout of the
+        # edges (j, i), in ascending j. Sorting the unique keys (i, position)
+        # is a stable argsort of i, several times faster.
         dst = self.idx.ravel()
-        order = np.argsort(dst, kind="stable")
-        self.rev_src = src[order]  # the j affected ...
-        self.rev_dst = dst[order]  # ... when this i gets labeled
-        self.rev_w = self.w.ravel()[order]
-        self.rev_ptr = np.searchsorted(self.rev_dst, np.arange(n + 1))
+        self.rev_pos = np.sort(dst * dst.size + np.arange(dst.size)) % dst.size
+        self.rev_ptr = np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=n))))
+        self._self_edge = self.idx == np.arange(n)[:, None]
         self._n = n
 
     # -- Ranker protocol ---------------------------------------------------
@@ -110,8 +119,14 @@ class EnsRanker:
         self.sum_w = np.zeros(self._n)  # sum of w_jl over labeled l in N(j)
         self.labeled = np.zeros(self._n, dtype=bool)
         self.n_pos = 0
+        # Edges that add nothing to a lookahead: i or j labeled, or i == j.
+        self._dead = self._self_edge.copy()
+        self._den = np.empty(self.w.shape)
+        self._p1 = np.empty(self.w.shape)
+        self._refresh(slice(None))
 
     def observe(self, image_id, relevant, pos_vecs, neg_vecs) -> None:
+        touched = []
         for vid, yv in [(v, 1.0) for v in np.asarray(pos_vecs, dtype=np.int64)] + [
             (v, 0.0) for v in np.asarray(neg_vecs, dtype=np.int64)
         ]:
@@ -119,11 +134,16 @@ class EnsRanker:
                 continue
             self.labeled[vid] = True
             self.n_pos += int(yv)
-            lo, hi = self.rev_ptr[vid], self.rev_ptr[vid + 1]
-            j = self.rev_src[lo:hi]
-            wj = self.rev_w[lo:hi]
+            pos = self.rev_pos[self.rev_ptr[vid] : self.rev_ptr[vid + 1]]
+            j = pos // self.idx.shape[1]
+            wj = self.w.ravel()[pos]
             self.sum_wy[j] += wj * yv
             self.sum_w[j] += wj
+            self._dead[vid] = True
+            self._dead.ravel()[pos] = True
+            touched += [j, [vid]]
+        if touched:
+            self._refresh(np.unique(np.concatenate(touched)))
 
     def posterior(self) -> np.ndarray:
         """Current kNN posterior p(y=1 | D) for every vertex."""
@@ -147,6 +167,16 @@ class EnsRanker:
         return scores
 
     # -- internals ---------------------------------------------------------
+    def _refresh(self, rows) -> None:
+        """Recompute the cached per-edge values of ``rows`` from the current
+        sums; a dead edge's ``p_new1`` is -inf, so it adds nothing below."""
+        w = self.w[rows]
+        den = (1.0 + self.sum_w[rows])[:, None] + w
+        p1 = ((self.gamma[rows] + self.sum_wy[rows])[:, None] + w) / den
+        p1[self._dead[rows]] = -np.inf
+        self._den[rows] = den
+        self._p1[rows] = p1
+
     def _nonmyopic_scores(self, p: np.ndarray, m: int) -> np.ndarray:
         n = self._n
         unl = ~self.labeled
@@ -162,28 +192,25 @@ class EnsRanker:
         next_val = p[kth[m_eff]] if kth.size > m_eff else 0.0
         tau = p[top_m[-1]]
         base_sum = float(p[top_m].sum())
-        in_top = np.zeros(n, dtype=bool)
-        in_top[top_m] = True
 
         # Future-reward base per candidate i: drop i from the top set if it
         # is a member (its label is then known) and admit the next best.
-        base = np.where(in_top, base_sum - p + next_val, base_sum)
+        base = np.full(n, base_sum)
+        base[top_m] = base_sum - p[top_m] + next_val
 
-        # Per-edge posterior deltas: labeling i as y changes p_j for each
-        # reverse neighbor j of i.
-        i_e = self.rev_dst  # the candidate being hypothetically labeled
-        j_e = self.rev_src  # its affected reverse neighbor
-        w_e = self.rev_w
-        valid = unl[i_e] & unl[j_e] & (i_e != j_e)
-        num = self.gamma[j_e] + self.sum_wy[j_e]
-        den = 1.0 + self.sum_w[j_e]
-        p_new1 = (num + w_e) / (den + w_e)
-        p_new0 = num / (den + w_e)
-        pj = p[j_e]
-        c1 = np.where(in_top[j_e], p_new1 - pj, np.maximum(0.0, p_new1 - tau))
-        c0 = np.where(in_top[j_e], p_new0 - pj, np.maximum(0.0, p_new0 - tau))
-        c1[~valid] = 0.0
-        c0[~valid] = 0.0
-        f1 = base + np.bincount(i_e, weights=c1, minlength=n)
-        f0 = base + np.bincount(i_e, weights=c0, minlength=n)
+        # Per-edge gain in f when candidate i = idx[j, c] is labeled y: the
+        # change of p_j inside the top set, its excess over tau outside it,
+        # and 0 on dead edges. bincount visits a candidate's edges in
+        # ascending j, the order of a dst-sorted reverse edge list.
+        c1 = np.maximum(0.0, self._p1 - tau)
+        rows = np.sort(top_m)
+        live = ~self._dead[rows]
+        c1[rows] = np.where(live, self._p1[rows] - p[rows, None], 0.0)
+        # y = 0 cannot raise p_j (w >= 0), so max(0, p_new0 - tau) is 0 for
+        # every j outside the top set: only the top rows add to the y = 0
+        # sums.
+        num = (self.gamma[rows] + self.sum_wy[rows])[:, None]
+        c0 = np.where(live, num / self._den[rows] - p[rows, None], 0.0)
+        f1 = base + np.bincount(self.idx.ravel(), weights=c1.ravel(), minlength=n)
+        f0 = base + np.bincount(self.idx[rows].ravel(), weights=c0.ravel(), minlength=n)
         return p * (1.0 + f1) + (1.0 - p) * f0

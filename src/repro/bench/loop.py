@@ -72,25 +72,31 @@ def image_feedback(
     relevant = bool(ds.rel_image[cat, image_id])
     if not relevant:
         return False, np.empty(0, dtype=np.int64), mine
-    pos = np.intersect1d(mine, ds.rel_vec[cat])
-    neg = np.setdiff1d(mine, pos)
+    # ``rel_vec[cat]`` is sorted, so a vector of ``mine`` is positive when
+    # it has a match there.
+    rel = ds.rel_vec[cat]
+    is_pos = np.searchsorted(rel, mine, side="right") > np.searchsorted(rel, mine)
     # The coarse vector of a relevant image whose object is too small to
     # make it positive is *excluded* (neither label): the full-image box
     # does overlap the user's box, so it is never a clean negative either.
-    coarse = mine[ds.is_coarse[mine]]
-    neg = np.setdiff1d(neg, coarse)
-    return True, pos, neg
+    return True, mine[is_pos], mine[~is_pos & ~ds.is_coarse[mine]]
 
 
 def best_unseen(ds: EmbeddedDataset, vscores: np.ndarray, seen: np.ndarray) -> int | None:
     """The unseen image with the highest score, an image scoring the max over
-    its vectors (§4.3); ties go to the lowest image id. ``None`` once no
-    unseen image has a finite score, i.e. every image has been shown."""
-    img_scores = np.full(ds.n_images, -np.inf)
-    np.maximum.at(img_scores, ds.image_of, vscores)
+    its vectors (§4.3); ties go to the lowest image id. ``None`` once every
+    unseen image scores -inf, i.e. every image has been shown. Raises
+    ``ValueError`` naming an unseen image whose score is NaN."""
+    if ds.one_vector_per_image:
+        img_scores = np.array(vscores, dtype=np.float64)
+    else:
+        img_scores = np.full(ds.n_images, -np.inf)
+        np.maximum.at(img_scores, ds.image_of, vscores)
     img_scores[seen] = -np.inf
     best = int(np.argmax(img_scores))
-    return best if np.isfinite(img_scores[best]) else None
+    if np.isnan(img_scores[best]):
+        raise ValueError(f"image {best} has a NaN score")
+    return None if img_scores[best] == -np.inf else best
 
 
 def run_search(
@@ -105,6 +111,8 @@ def run_search(
     if target < 1 or budget < 1:
         raise ValueError(f"target and budget must be >= 1, got {target} and {budget}")
     n_rel = int(ds.rel_image[cat].sum())
+    if n_rel == 0:
+        raise ValueError(f"category {cat} has no relevant image")
     q0 = ds.query_vecs[cat].astype(np.float64)
     ranker.reset(ds, q0)
     seen = np.zeros(ds.n_images, dtype=bool)

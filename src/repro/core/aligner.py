@@ -103,26 +103,29 @@ class QueryAligner:
             raise ValueError(f"X rows {X.shape[0]} != y length {y.shape[0]}")
         if X.shape[0] == 0:
             return _unit(q0)
-        p = self.params
+        # Per-solve constants: every loss evaluation of this solve shares the
+        # label signs, the class weights and the effective lambdas.
+        signs = loss.label_signs(y)
         n = X.shape[0]
-        n_pos = float((y > 0.5).sum())
+        n_pos = float((signs > 0).sum())
         n_neg = float(n - n_pos)
         if self.balanced and n_pos > 0 and n_neg > 0:
             # ``balanced`` may be a float cap on the per-class weight (a
             # partial rebalance); True means the full n/(2*n_class) weight.
             cap = np.inf if self.balanced is True else float(self.balanced)
             sw = np.where(
-                y > 0.5,
+                signs > 0,
                 np.minimum(cap, n / (2.0 * n_pos)),
                 np.minimum(cap, n / (2.0 * n_neg)),
             )
         else:
             sw = np.ones(n)
+        M, p = self.M, self.params
+        lam, lam_c, lam_d = p.lam_eff, p.lam_c_eff, p.lam_d_eff
 
         def fg(w: np.ndarray) -> tuple[float, np.ndarray]:
             return loss.l3_loss_grad(
-                w, X, y, q0, self.M, p.lam_eff, p.lam_c_eff, p.lam_d_eff,
-                sample_weight=sw,
+                w, X, y, q0, M, lam, lam_c, lam_d, sample_weight=sw, signs=signs
             )
 
         # Warm-start from q0: with strong ridge the solution has small norm,

@@ -15,6 +15,10 @@ import numpy as np
 
 LossGrad = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
+# Vector products below use ``ndarray.dot``: the same BLAS call as ``@``
+# (so the same bits) at about half the call overhead, which matters on the
+# d <= 512 vectors of a solve.
+
 
 @dataclass
 class LbfgsResult:
@@ -48,14 +52,14 @@ def minimize(
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        if np.max(np.abs(g)) < gtol:
+        if np.abs(g).max() < gtol:
             converged = True
             break
         d = _two_loop(g, s_hist, y_hist, rho_hist)
-        gd = float(g @ d)
+        gd = float(g.dot(d))
         if gd >= 0:  # not a descent direction — reset to steepest descent
             d = -g
-            gd = float(g @ d)
+            gd = float(g.dot(d))
             s_hist.clear()
             y_hist.clear()
             rho_hist.clear()
@@ -67,13 +71,13 @@ def minimize(
             y_hist.clear()
             rho_hist.clear()
             d = -g
-            gd = float(g @ d)
+            gd = float(g.dot(d))
             ok, step, f_new, g_new, x_new = _armijo(fg, x, f, d, gd)
         if not ok:
             break  # line search failed; local flatness — accept current x
         s = x_new - x
         yv = g_new - g
-        sy = float(s @ yv)
+        sy = float(s.dot(yv))
         if sy > 1e-12:  # curvature condition; skip update otherwise
             s_hist.append(s)
             y_hist.append(yv)
@@ -114,7 +118,7 @@ def _armijo(
     if not ok:
         return False, step, f, np.asarray(d), x
     for _ in range(20):
-        if float(g_new @ d) >= 0.9 * gd:  # curvature satisfied
+        if float(g_new.dot(d)) >= 0.9 * gd:  # curvature satisfied
             break
         cand = step * 2.0
         x_c = x + cand * d
@@ -135,16 +139,16 @@ def _two_loop(
     q = g.copy()
     alphas: list[float] = []
     for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
-        a = rho * float(s @ q)
+        a = rho * float(s.dot(q))
         alphas.append(a)
         q -= a * y
     if s_hist:
         s, y = s_hist[-1], y_hist[-1]
-        gamma = float(s @ y) / max(float(y @ y), 1e-12)
+        gamma = float(s.dot(y)) / max(float(y.dot(y)), 1e-12)
         q *= gamma
     for (s, y, rho), a in zip(
         zip(s_hist, y_hist, rho_hist), reversed(alphas)
     ):
-        b = rho * float(y @ q)
+        b = rho * float(y.dot(q))
         q += (a - b) * s
     return -q

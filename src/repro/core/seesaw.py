@@ -45,35 +45,46 @@ class SeeSawSession(LinearRanker):
     ):
         self.aligner = QueryAligner(params, M, balanced=balanced)
         self.require_positive = require_positive
-        self._X: list[np.ndarray] = []
-        self._y: list[float] = []
+        self._X = np.empty((0, 0))
+        self._y = np.empty(0)
+        self._n = 0
         self._n_pos = 0
 
     # -- Ranker protocol ---------------------------------------------------
     def reset(self, ds: EmbeddedDataset, q0: np.ndarray) -> None:
         super().reset(ds, q0)
-        self._X, self._y, self._n_pos = [], [], 0
+        # Feedback rows live in the first ``_n`` rows of buffers that grow
+        # by doubling, so a round copies only its own new rows.
+        self._X = np.empty((64, ds.vectors.shape[1]))
+        self._y = np.empty(64)
+        self._n = self._n_pos = 0
 
     def observe(
         self, image_id: int, relevant: bool, pos_vecs: np.ndarray, neg_vecs: np.ndarray
     ) -> None:
-        for vid in np.asarray(pos_vecs, dtype=np.int64):
-            self._X.append(self._vectors[vid].astype(np.float64))
-            self._y.append(1.0)
-            self._n_pos += 1
-        for vid in np.asarray(neg_vecs, dtype=np.int64):
-            self._X.append(self._vectors[vid].astype(np.float64))
-            self._y.append(0.0)
+        pos = np.asarray(pos_vecs, dtype=np.int64)
+        self._append(pos, 1.0)
+        self._append(np.asarray(neg_vecs, dtype=np.int64), 0.0)
+        self._n_pos += pos.size
         if self.require_positive and self._n_pos == 0:
             self._q = self._q0.copy()
             return
-        if not self._X:
+        if not self._n:
             return
-        X = np.vstack(self._X)
-        y = np.asarray(self._y)
-        self._q = self.aligner.align(self._q0, X, y)
+        self._q = self.aligner.align(self._q0, self._X[: self._n], self._y[: self._n])
+
+    def _append(self, vids: np.ndarray, label: float) -> None:
+        end = self._n + vids.size
+        if end > len(self._y):
+            cap = max(2 * len(self._y), end)
+            X, y = np.empty((cap, self._X.shape[1])), np.empty(cap)
+            X[: self._n], y[: self._n] = self._X[: self._n], self._y[: self._n]
+            self._X, self._y = X, y
+        self._X[self._n : end] = self._vectors[vids]
+        self._y[self._n : end] = label
+        self._n = end
 
     # -- Introspection (used by tests) ------------------------------------
     @property
     def n_feedback(self) -> int:
-        return len(self._y)
+        return self._n

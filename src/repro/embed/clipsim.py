@@ -25,6 +25,7 @@ Everything is deterministic in ``spec.seed``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import pandas as pd
@@ -101,9 +102,10 @@ class EmbeddedDataset:
     - ``is_coarse``: (V,) bool — True for the full-image vector.
     - ``query_vecs``: (C, d) — the "CLIP text embedding" of each category.
     - ``rel_image``: (C, n_images) bool — ground-truth image relevance.
-    - ``rel_vec``: list of C int arrays — vector indices that count as
-      positive region feedback for the category (object-containing patches
-      plus the coarse vector, which the full-image box always overlaps).
+    - ``rel_vec``: list of C sorted int arrays — vector indices that count
+      as positive region feedback for the category (object-containing
+      patches plus the coarse vector, which the full-image box always
+      overlaps).
     - ``ideal_vecs``: (C, d) — the true latent category directions ``u_c``
       (used only for analysis tests, never by search methods).
     """
@@ -117,6 +119,19 @@ class EmbeddedDataset:
     rel_vec: list[np.ndarray]
     ideal_vecs: np.ndarray
     cat_names: list[str] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        for c, rel in enumerate(self.rel_vec):
+            if np.any(np.diff(rel) <= 0):
+                raise ValueError(f"rel_vec[{c}] is not sorted and unique")
+
+    @cached_property
+    def one_vector_per_image(self) -> bool:
+        """True when vector ``i`` is image ``i``'s only vector (``image_of``
+        is the identity), as in every coarse dataset."""
+        return self.n_vectors == self.n_images and bool(
+            np.array_equal(self.image_of, np.arange(self.n_images))
+        )
 
     @property
     def n_images(self) -> int:

@@ -1,4 +1,6 @@
 """Tests for the synthetic embedding-world generator."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,26 @@ class TestGroundTruth:
     def test_flat_world_positives_are_coarse(self, flat_world):
         for c in range(flat_world.n_categories):
             assert flat_world.is_coarse[flat_world.rel_vec[c]].all()
+
+
+class TestLayout:
+    def test_rel_vec_sorted_and_unique(self, world):
+        for rel in world.rel_vec + world.coarse_only().rel_vec:
+            assert np.all(np.diff(rel) > 0)
+
+    @pytest.mark.parametrize("bad", [[5, 3], [4, 4]])
+    def test_unsorted_rel_vec_rejected(self, world, bad):
+        rel_vec = list(world.rel_vec)
+        rel_vec[1] = np.array(bad, dtype=np.int32)
+        with pytest.raises(ValueError, match=r"rel_vec\[1\] is not sorted"):
+            replace(world, rel_vec=rel_vec)
+
+    def test_one_vector_per_image(self, world, flat_world):
+        assert world.coarse_only().one_vector_per_image
+        assert flat_world.one_vector_per_image
+        assert not world.one_vector_per_image
+        shuffled = replace(flat_world, image_of=flat_world.image_of[::-1].copy())
+        assert not shuffled.one_vector_per_image
 
 
 class TestCoarseOnly:

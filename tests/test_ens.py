@@ -146,6 +146,156 @@ class TestScoring:
         np.testing.assert_allclose(r.gamma, 0.42)
 
 
+class _ReverseLayoutEns:
+    """ENS as scored on the reverse (dst-sorted) edge list: the reference
+    that the forward-layout scoring must match bit for bit."""
+
+    def __init__(self, idx, w, horizon=60, gamma=None):
+        self.idx = np.asarray(idx, dtype=np.int64)
+        self.w = np.asarray(w, dtype=np.float64)
+        self.horizon, self.gamma_override = horizon, gamma
+        n, k = self.idx.shape
+        src = np.repeat(np.arange(n, dtype=np.int64), k)
+        dst = self.idx.ravel()
+        order = np.argsort(dst, kind="stable")
+        self.rev_src, self.rev_dst = src[order], dst[order]
+        self.rev_w = self.w.ravel()[order]
+        self.rev_ptr = np.searchsorted(self.rev_dst, np.arange(n + 1))
+        self.n = n
+        self.top_rows_with_dead_edges = 0
+
+    def reset(self, ds, q0):
+        self.s0 = (ds.vectors @ q0.astype(np.float32)).astype(np.float64)
+        g = self.gamma_override if self.gamma_override is not None else (self.s0 + 1.0) / 2.0
+        self.gamma = np.clip(g, 1e-6, 1 - 1e-6)
+        self.sum_wy, self.sum_w = np.zeros(self.n), np.zeros(self.n)
+        self.labeled = np.zeros(self.n, dtype=bool)
+        self.n_pos = 0
+
+    def observe(self, image_id, relevant, pos_vecs, neg_vecs):
+        for vid, yv in [(v, 1.0) for v in pos_vecs] + [(v, 0.0) for v in neg_vecs]:
+            if self.labeled[vid]:
+                continue
+            self.labeled[vid] = True
+            self.n_pos += int(yv)
+            lo, hi = self.rev_ptr[vid], self.rev_ptr[vid + 1]
+            self.sum_wy[self.rev_src[lo:hi]] += self.rev_w[lo:hi] * yv
+            self.sum_w[self.rev_src[lo:hi]] += self.rev_w[lo:hi]
+
+    def vector_scores(self, remaining):
+        if self.n_pos == 0:
+            return self.s0.copy()
+        m = min(self.horizon, remaining) - 1
+        p = np.where(self.labeled, -1.0, (self.gamma + self.sum_wy) / (1.0 + self.sum_w))
+        scores = p.copy() if m <= 0 else self._nonmyopic(p, m)
+        scores[self.labeled] = -np.inf
+        return scores
+
+    def _nonmyopic(self, p, m):
+        n, unl = self.n, ~self.labeled
+        m_eff = min(m, max(int(unl.sum()) - 1, 0))
+        if m_eff == 0:
+            return p.copy()
+        kth = np.argpartition(-p, m_eff)[: m_eff + 1]
+        kth = kth[np.argsort(-p[kth])]
+        top_m = kth[:m_eff]
+        next_val = p[kth[m_eff]] if kth.size > m_eff else 0.0
+        tau = p[top_m[-1]]
+        base_sum = float(p[top_m].sum())
+        in_top = np.zeros(n, dtype=bool)
+        in_top[top_m] = True
+        self.top_rows_with_dead_edges += int(self.labeled[self.idx[top_m]].any())
+        base = np.where(in_top, base_sum - p + next_val, base_sum)
+        i_e, j_e, w_e = self.rev_dst, self.rev_src, self.rev_w
+        valid = unl[i_e] & unl[j_e] & (i_e != j_e)
+        num = self.gamma[j_e] + self.sum_wy[j_e]
+        den = 1.0 + self.sum_w[j_e]
+        p_new1 = (num + w_e) / (den + w_e)
+        p_new0 = num / (den + w_e)
+        pj = p[j_e]
+        c1 = np.where(in_top[j_e], p_new1 - pj, np.maximum(0.0, p_new1 - tau))
+        c0 = np.where(in_top[j_e], p_new0 - pj, np.maximum(0.0, p_new0 - tau))
+        c1[~valid] = 0.0
+        c0[~valid] = 0.0
+        f1 = base + np.bincount(i_e, weights=c1, minlength=n)
+        f0 = base + np.bincount(i_e, weights=c0, minlength=n)
+        return p * (1.0 + f1) + (1.0 - p) * f0
+
+
+def _tied_graph(seed, n, k):
+    """A kNN graph whose weights take three values, so that many edge
+    weights and posteriors tie."""
+    ds = generate_world(WorldSpec(n_images=n, n_categories=3, d=8, grid=(0, 0), seed=seed))
+    gi, gd = knn_graph_np(ds.vectors, k)
+    gw, _ = edge_weights(gd)
+    return ds, gi, np.round(gw * 2.0) / 2.0 + 0.25
+
+
+class TestForwardLayoutBitPin:
+    """``vector_scores`` equals the reverse-layout formula exactly, round
+    after round, while labels arrive in a seeded random order."""
+
+    @staticmethod
+    def _drive(ds, gi, gw, *, horizon, gamma=None, seed=0, rounds=40, batch=3):
+        ens = EnsRanker(gi, gw, horizon=horizon, gamma=gamma)
+        ref = _ReverseLayoutEns(gi, gw, horizon=horizon, gamma=gamma)
+        q0 = ds.query_vecs[0].astype(np.float64)
+        ens.reset(ds, q0)
+        ref.reset(ds, q0)
+        g = np.random.default_rng(seed)
+        n = ds.n_vectors
+        for r in range(rounds):
+            a, b = ens.vector_scores(horizon - r), ref.vector_scores(horizon - r)
+            assert np.array_equal(a, b), f"round {r}"
+            # Label the best candidate and a few random vertices (repeats
+            # and already-labeled ones included).
+            best = int(np.argmax(np.where(ref.labeled, -np.inf, b)))
+            vids = np.concatenate([[best], g.integers(0, n, batch)])
+            y = g.random(vids.size) < 0.4
+            y[0] = r % 3 == 0
+            for o in (ens, ref):
+                o.observe(r, bool(y[0]), vids[y], vids[~y])
+            if ref.labeled.all():
+                break
+        np.testing.assert_array_equal(ens.posterior(), (ref.gamma + ref.sum_wy) / (1.0 + ref.sum_w))
+        return ref
+
+    @pytest.mark.parametrize("horizon", [60, 10, 2])
+    def test_matches_reverse_layout(self, horizon):
+        ref = self._drive(DS, GI, GW, horizon=horizon)
+        if horizon > 2:
+            assert ref.top_rows_with_dead_edges > 0
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_tied_weights(self, seed):
+        ds, gi, gw = _tied_graph(seed, 120, 6)
+        assert len(np.unique(gw)) <= 4
+        self._drive(ds, gi, gw, horizon=60, seed=seed)
+
+    def test_few_unlabeled_clip_the_lookahead(self):
+        """On 30 vertices with horizon 60, ``m_eff`` is clipped by the
+        unlabeled count every round, down to 0."""
+        ds, gi, gw = _tied_graph(3, 30, 4)
+        ref = self._drive(ds, gi, gw, horizon=60, rounds=30, batch=2)
+        assert ref.labeled.sum() >= 28
+
+    def test_calibrated_gamma(self):
+        gamma = sigmoid(4.0 * (DS.vectors @ DS.query_vecs[0]).astype(np.float64) - 1.0)
+        self._drive(DS, GI, GW, horizon=60, gamma=gamma, seed=5)
+
+    def test_reverse_adjacency_is_a_stable_argsort(self):
+        for gi in (GI, _tied_graph(1, 120, 6)[1]):
+            r = EnsRanker(gi, np.ones(gi.shape))
+            dst = np.asarray(gi, dtype=np.int64).ravel()
+            order = np.argsort(dst, kind="stable")
+            assert np.array_equal(r.rev_pos, order)
+            assert np.array_equal(r.rev_ptr, np.searchsorted(dst[order], np.arange(len(gi) + 1)))
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            EnsRanker(GI, -GW)
+
+
 class TestPlatt:
     def test_recovers_known_scaling(self):
         g = np.random.default_rng(0)

@@ -1,10 +1,13 @@
 """Tests for the interactive-search simulation loop."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.baselines import ZeroShotRanker
 from repro.bench.loop import best_unseen, image_feedback, run_search
 from repro.embed.clipsim import WorldSpec, generate_world
+from repro.embed.datasets import build_dataset
 
 DS = generate_world(WorldSpec(n_images=150, n_categories=6, d=16, grid=(2, 2), seed=3))
 DSC = DS.coarse_only()
@@ -129,3 +132,86 @@ class TestImageFeedback:
         img = int(np.flatnonzero(DSC.rel_image[cat])[0])
         rel, pos, neg = image_feedback(DSC, cat, img)
         assert rel and pos.size == 1 and neg.size == 0
+
+
+class TestBitPin:
+    """The sort-free feedback and pick return exactly what the set
+    operations and ``np.maximum.at`` return."""
+
+    @staticmethod
+    def _ref_feedback(ds, cat, image_id):
+        mine = np.flatnonzero(ds.image_of == image_id)
+        if not ds.rel_image[cat, image_id]:
+            return False, np.empty(0, dtype=np.int64), mine
+        pos = np.intersect1d(mine, ds.rel_vec[cat])
+        neg = np.setdiff1d(np.setdiff1d(mine, pos), mine[ds.is_coarse[mine]])
+        return True, pos, neg
+
+    @pytest.mark.parametrize("name", ["lvis", "objectnet", "coco", "bdd"])
+    @pytest.mark.parametrize("coarse", [False, True])
+    def test_image_feedback_every_pair(self, name, coarse):
+        ds = build_dataset(name, "test")
+        ds = ds.coarse_only() if coarse else ds
+        for cat in range(ds.n_categories):
+            for img in range(ds.n_images):
+                got = image_feedback(ds, cat, img)
+                ref = self._ref_feedback(ds, cat, img)
+                assert got[0] == ref[0]
+                for a, b in zip(got[1:], ref[1:]):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (cat, img)
+
+    @staticmethod
+    def _ref_pick(ds, vscores, seen):
+        img_scores = np.full(ds.n_images, -np.inf)
+        np.maximum.at(img_scores, ds.image_of, vscores)
+        img_scores[seen] = -np.inf
+        best = int(np.argmax(img_scores))
+        return best if np.isfinite(img_scores[best]) else None
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_identity_pick_matches_maximum_at(self, dtype):
+        assert DSC.one_vector_per_image and not DS.one_vector_per_image
+        g = np.random.default_rng(0)
+        for _ in range(200):
+            # Few distinct values, so that the best score ties often.
+            vs = g.integers(-3, 4, DSC.n_vectors).astype(dtype) / 4
+            vs[g.random(DSC.n_vectors) < 0.05] = -np.inf
+            seen = g.random(DSC.n_images) < g.random()
+            assert best_unseen(DSC, vs, seen) == self._ref_pick(DSC, vs, seen)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in maximum")
+class TestBadInputs:
+    def test_nan_score_raises_naming_the_image(self):
+        vs = np.zeros(DS.n_vectors)
+        vs[5 * 12 + 2] = np.nan
+        seen = np.zeros(DS.n_images, dtype=bool)
+        with pytest.raises(ValueError, match="image 12 has a NaN score"):
+            best_unseen(DS, vs, seen)
+        seen[12] = True  # a shown image's NaN does not matter
+        assert best_unseen(DS, vs, seen) == 0
+
+    @pytest.mark.parametrize("coarse", [False, True])
+    def test_nan_vector_fails_the_search(self, coarse):
+        ds = build_dataset("lvis", "test")
+        ds = ds.coarse_only() if coarse else ds
+        vectors = ds.vectors.copy()
+        vectors[40] = np.nan
+        bad = replace(ds, vectors=vectors)
+        with pytest.raises(ValueError, match=f"image {ds.image_of[40]} has a NaN score"):
+            run_search(bad, 0, ZeroShotRanker())
+
+    def test_all_minus_inf_is_none(self):
+        vs = np.full(DSC.n_vectors, -np.inf)
+        assert best_unseen(DSC, vs, np.zeros(DSC.n_images, dtype=bool)) is None
+
+    def test_category_without_relevant_image_fails_before_reset(self):
+        rel_image = DS.rel_image.copy()
+        rel_image[2] = False
+        rel_vec = list(DS.rel_vec)
+        rel_vec[2] = np.empty(0, dtype=np.int32)
+        ds = replace(DS, rel_image=rel_image, rel_vec=rel_vec)
+        ranker = ZeroShotRanker()
+        with pytest.raises(ValueError, match="category 2 has no relevant image"):
+            run_search(ds, 2, ranker)
+        assert not hasattr(ranker, "_q0")  # reset never ran

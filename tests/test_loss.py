@@ -204,3 +204,101 @@ class TestFullLoss:
         _, grad = loss.l3_loss_grad(w, X, y, q0, M, 1.0, 0.5, 2.0)
         gfd = fd_grad(lambda v: loss.l3_loss_grad(v, X, y, q0, M, 1.0, 0.5, 2.0)[0], w)
         np.testing.assert_allclose(grad, gfd, rtol=1e-3, atol=1e-5)
+
+
+# -- bit pins ------------------------------------------------------------------
+# The loss terms as separate functions, each with its own |w|, label signs
+# and exponentials: the composition that the shared-piece evaluation must
+# reproduce exactly.
+def _ref_log1pexp(z):
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z > 0
+    out[pos] = z[pos] + np.log1p(np.exp(-z[pos]))
+    out[~pos] = np.log1p(np.exp(z[~pos]))
+    return out
+
+
+def _ref_sigmoid(z):
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _ref_l3(w, X, y, q0, M, lam, lam_c, lam_d, sw=None):
+    if X.shape[0] == 0:
+        f, g = 0.0, np.zeros_like(w)
+    else:
+        s = np.where(np.asarray(y, dtype=np.float64) > 0.5, 1.0, -1.0)
+        z = X @ w
+        per = _ref_log1pexp(-s * z)
+        coef = -s * _ref_sigmoid(-s * z)
+        if sw is not None:
+            per, coef = per * sw, coef * sw
+        f, g = float(per.sum()), X.T @ coef
+    f += lam * float(w @ w)
+    g = g + 2.0 * lam * w
+    if lam_c != 0.0:
+        nw = float(np.linalg.norm(w))
+        if nw < 1e-12:
+            fc, gc = 1.0, -q0.copy()
+        else:
+            dot = float(w @ q0)
+            fc, gc = 1.0 - dot / nw, -(q0 / nw) + dot * w / nw**3
+        f += lam_c * fc
+        g = g + lam_c * gc
+    if lam_d != 0.0 and M is not None:
+        n2 = float(w @ w)
+        if n2 < 1e-12:
+            fd, gd = 0.0, np.zeros_like(w)
+        else:
+            Mw = M @ w
+            q = float(w @ Mw)
+            fd, gd = q / n2, 2.0 * Mw / n2 - 2.0 * q * w / n2**2
+        f += lam_d * fd
+        g = g + lam_d * gd
+    return f, g
+
+
+class TestBitPin:
+    Z = np.array(
+        [-np.inf, -800.0, -40.0, -1.5, -1e-300, -0.0, 0.0, 1e-300, 0.5, 37.0, 800.0, np.inf]
+    )
+
+    def test_log1pexp_and_sigmoid(self):
+        z = np.concatenate([self.Z, np.random.default_rng(0).standard_normal(500) * 20])
+        assert np.array_equal(loss.log1pexp(z), _ref_log1pexp(z))
+        assert np.array_equal(loss.sigmoid(z), _ref_sigmoid(z))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e-3, 1e-7, 1e-13, 0.0])
+    @pytest.mark.parametrize("lams", [(0.5, 0.0, 0.0), (0.5, 0.6, 0.0), (1.0, 0.6, 2.0), (0.0, 0.0, 2.0)])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_l3_matches_term_composition(self, scale, lams, weighted):
+        """Every branch: ``w = 0``, a norm below the cosine term's 1e-12, a
+        squared norm below the quad term's 1e-12 (scale 1e-7) and normal
+        norms; with and without precomputed signs."""
+        g = np.random.default_rng(7)
+        for n, d in [(1, 4), (9, 16), (300, 64)]:
+            X = g.standard_normal((n, d))
+            y = (g.random(n) < 0.3).astype(float)
+            w = g.standard_normal(d) * scale
+            q0 = g.standard_normal(d)
+            q0 /= np.linalg.norm(q0)
+            A = g.standard_normal((d, d))
+            M = A @ A.T / d
+            sw = g.random(n) * 3 if weighted else None
+            f_ref, g_ref = _ref_l3(w, X, y, q0, M, *lams, sw)
+            for kw in ({}, {"signs": loss.label_signs(y)}):
+                f, grad = loss.l3_loss_grad(w, X, y, q0, M, *lams, sw, **kw)
+                assert f == f_ref
+                assert np.array_equal(grad, g_ref)
+
+    def test_l3_without_feedback_or_m(self):
+        g = np.random.default_rng(4)
+        w, q0 = g.standard_normal(8), np.eye(8)[0]
+        X, y = np.zeros((0, 8)), np.zeros(0)
+        f, grad = loss.l3_loss_grad(w, X, y, q0, None, 0.5, 0.6, 2.0)
+        f_ref, g_ref = _ref_l3(w, X, y, q0, None, 0.5, 0.6, 2.0)
+        assert f == f_ref and np.array_equal(grad, g_ref)

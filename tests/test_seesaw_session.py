@@ -83,3 +83,20 @@ class TestFewShot:
         s = f.vector_scores(60)
         # the labeled positive should now rank in the top half
         assert (s >= s[3]).sum() <= DS.n_vectors // 2
+
+    def test_query_matches_a_solve_on_stacked_feedback(self):
+        """Feedback kept in growing buffers solves exactly as the feedback
+        stacked afresh each round, across several buffer growths."""
+        s = _session(M=np.eye(DS.vectors.shape[1]) * 0.01)
+        g = np.random.default_rng(0)
+        rows, labels = [], []
+        for r in range(30):
+            vids = g.choice(DS.n_vectors, size=int(g.integers(1, 12)), replace=False)
+            n_pos = int(g.integers(0, 3))
+            pos, neg = vids[:n_pos], vids[n_pos:]
+            s.observe(r, n_pos > 0, pos, neg)
+            rows += [DS.vectors[v].astype(np.float64) for v in np.concatenate([pos, neg])]
+            labels += [1.0] * len(pos) + [0.0] * len(neg)
+            expect = s.aligner.align(s._q0, np.vstack(rows), np.asarray(labels))
+            assert np.array_equal(s.query, expect), f"round {r}"
+        assert s.n_feedback == len(labels) > 128
