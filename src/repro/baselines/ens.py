@@ -73,6 +73,11 @@ class EnsRanker:
     ``1 + sum_w_j + w`` and the posterior ``p_j`` would take if ``i`` were
     labeled positive. A label changes the sums of its reverse neighbors
     only, so ``observe`` refreshes just their rows.
+
+    Ties: a top-set candidate with no live edge scores ``base_sum +
+    next_val`` to the last bit, as does the next-best candidate, so such
+    candidates tie exactly and the loop shows the lowest image id among
+    them (:func:`repro.bench.loop.best_unseen`), whatever the BLAS kernel.
     """
 
     def __init__(
@@ -193,10 +198,14 @@ class EnsRanker:
         tau = p[top_m[-1]]
         base_sum = float(p[top_m].sum())
 
-        # Future-reward base per candidate i: drop i from the top set if it
-        # is a member (its label is then known) and admit the next best.
-        base = np.full(n, base_sum)
-        base[top_m] = base_sum - p[top_m] + next_val
+        # score = p (1 + f1) + (1 - p) f0 with f_y = base + g_y, where the
+        # future-reward base drops i from the top set if it is a member (its
+        # label is then known) and admits the next best. Rearranged as
+        # lead + g0 + p (g1 - g0), lead = p + base is base_sum + next_val for
+        # every top-set member, so members with no live edge score the same
+        # bits and tie.
+        lead = base_sum + p
+        lead[top_m] = base_sum + next_val
 
         # Per-edge gain in f when candidate i = idx[j, c] is labeled y: the
         # change of p_j inside the top set, its excess over tau outside it,
@@ -211,6 +220,6 @@ class EnsRanker:
         # sums.
         num = (self.gamma[rows] + self.sum_wy[rows])[:, None]
         c0 = np.where(live, num / self._den[rows] - p[rows, None], 0.0)
-        f1 = base + np.bincount(self.idx.ravel(), weights=c1.ravel(), minlength=n)
-        f0 = base + np.bincount(self.idx[rows].ravel(), weights=c0.ravel(), minlength=n)
-        return p * (1.0 + f1) + (1.0 - p) * f0
+        g1 = np.bincount(self.idx.ravel(), weights=c1.ravel(), minlength=n)
+        g0 = np.bincount(self.idx[rows].ravel(), weights=c0.ravel(), minlength=n)
+        return lead + g0 + p * (g1 - g0)

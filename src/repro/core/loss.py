@@ -12,6 +12,11 @@ All losses are functions of the query-vector parameter ``w`` (shape (d,)):
   quadratic-over-norm penalty derived from the database kNN-graph Laplacian,
   pointing ``w`` toward the center of dense regions.
 
+The two scale-invariant terms (the cosine of Eq. 2 and the ratio of Eq. 3)
+are undefined at ``w = 0`` and are guarded only at ``|w| < 1e-12``; above
+that they take their exact value at any scale, so a solve cannot switch the
+DB-alignment term off by shrinking ``w``.
+
 Gradients are analytic; ``tests/test_loss.py`` checks them against finite
 differences (including via hypothesis-generated inputs).
 """
@@ -127,7 +132,8 @@ def quad_over_norm_grad(
     """DB-alignment term ``(w^T M w)/|w|^2`` and its gradient (M symmetric);
     ``n2`` may pass ``w @ w``."""
     n2 = float(w.dot(w)) if n2 is None else n2
-    if n2 < _EPS:
+    if n2 < _EPS * _EPS:
+        # |w| < 1e-12, the cosine term's guard: the ratio is undefined at 0.
         return 0.0, np.zeros_like(w)
     Mw = M.dot(w)
     q = float(w.dot(Mw))

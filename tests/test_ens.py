@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.ens import EnsRanker, platt_scale
+from repro.bench.loop import run_search
 from repro.core.loss import sigmoid
 from repro.embed.clipsim import WorldSpec, generate_world
 from repro.graph.knn import knn_graph_np
@@ -146,6 +147,51 @@ class TestScoring:
         np.testing.assert_allclose(r.gamma, 0.42)
 
 
+class TestTies:
+    """On a graph whose only edges are self-loops no candidate has a live
+    edge, so the top-(m+1) unlabeled candidates all score ``base_sum +
+    next_val`` and the pick falls to the lowest image id."""
+
+    @staticmethod
+    def _edgeless(horizon):
+        n = DS.n_vectors
+        gamma = np.random.default_rng(11).uniform(0.05, 0.95, n)
+        return EnsRanker(np.arange(n)[:, None], np.ones((n, 1)), horizon=horizon, gamma=gamma)
+
+    @staticmethod
+    def _top(r, m):
+        """The m + 1 unlabeled vertices of highest posterior."""
+        p = np.where(r.labeled, -np.inf, r.posterior())
+        return np.argsort(-p, kind="stable")[: min(m, int((~r.labeled).sum()) - 1) + 1]
+
+    @pytest.mark.parametrize("horizon", [60, 10])
+    def test_top_set_scores_bit_equal(self, horizon):
+        r = self._edgeless(horizon)
+        r.reset(DS, DS.query_vecs[0].astype(np.float64))
+        r.observe(0, True, np.array([3]), np.empty(0, int))
+        r.observe(1, False, np.empty(0, int), np.array([8]))
+        s = r.vector_scores(58)
+        top = self._top(r, min(horizon, 58) - 1)
+        assert np.unique(s[top]).size == 1
+        assert (np.delete(s, top) < s[top[0]]).all()
+
+    def test_run_search_shows_lowest_id_of_the_tie(self):
+        ds = DS.coarse_only()
+        r = self._edgeless(horizon=10)
+        res = run_search(ds, 0, r, target=10, budget=60)
+        first = res.shown_relevance.index(True)
+        assert first + 1 < res.n_shown
+        # Replay the labels in order: every pick after the first positive
+        # is the lowest id among the m + 1 best unlabeled candidates.
+        ref = self._edgeless(horizon=10)
+        ref.reset(ds, ds.query_vecs[0].astype(np.float64))
+        for i, (img, rel) in enumerate(zip(res.shown_images, res.shown_relevance)):
+            if i > first:
+                assert img == self._top(ref, min(10, 60 - i) - 1).min(), f"round {i}"
+            ids, none = np.array([img]), np.empty(0, int)
+            ref.observe(img, rel, *((ids, none) if rel else (none, ids)))
+
+
 class _ReverseLayoutEns:
     """ENS as scored on the reverse (dst-sorted) edge list: the reference
     that the forward-layout scoring must match bit for bit."""
@@ -205,7 +251,7 @@ class _ReverseLayoutEns:
         in_top = np.zeros(n, dtype=bool)
         in_top[top_m] = True
         self.top_rows_with_dead_edges += int(self.labeled[self.idx[top_m]].any())
-        base = np.where(in_top, base_sum - p + next_val, base_sum)
+        lead = np.where(in_top, base_sum + next_val, base_sum + p)
         i_e, j_e, w_e = self.rev_dst, self.rev_src, self.rev_w
         valid = unl[i_e] & unl[j_e] & (i_e != j_e)
         num = self.gamma[j_e] + self.sum_wy[j_e]
@@ -217,9 +263,9 @@ class _ReverseLayoutEns:
         c0 = np.where(in_top[j_e], p_new0 - pj, np.maximum(0.0, p_new0 - tau))
         c1[~valid] = 0.0
         c0[~valid] = 0.0
-        f1 = base + np.bincount(i_e, weights=c1, minlength=n)
-        f0 = base + np.bincount(i_e, weights=c0, minlength=n)
-        return p * (1.0 + f1) + (1.0 - p) * f0
+        g1 = np.bincount(i_e, weights=c1, minlength=n)
+        g0 = np.bincount(i_e, weights=c0, minlength=n)
+        return lead + g0 + p * (g1 - g0)
 
 
 def _tied_graph(seed, n, k):

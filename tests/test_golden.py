@@ -6,6 +6,16 @@ compares each search's AP (as an exact float) and its shown image-id
 sequence with ``tests/golden/searches_test_scale.json``. A refactor must
 leave the file unchanged; a deliberate behaviour change regenerates it with
 ``PYTHONPATH=src python -m tests.test_golden`` and says why in CHANGES.md.
+
+The pinned outcomes must not hang on last-bit rounding. The file was checked
+byte-identical on a Sapphire Rapids Xeon with numpy 1.26's OpenBLAS 0.3.23
+under its default kernel, ``OPENBLAS_CORETYPE`` set to ``SkylakeX``,
+``Sandybridge``, ``Cooperlake`` or ``SapphireRapids``, and with
+``NPY_DISABLE_CPU_FEATURES="AVX512F AVX512CD AVX512_SKX AVX512_CLX
+AVX512_CNL AVX512_ICL"``. Under ``Haswell`` and ``Zen`` kernels one search
+differs (``table7 objectnet:multi 'lc=3 ld=3000 l=100' cat=6``): an
+aligner solve whose infimum lies at ``w -> 0`` returns a direction that
+rounding decides.
 """
 from __future__ import annotations
 

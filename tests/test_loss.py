@@ -148,6 +148,16 @@ class TestQuadOverNorm:
         f2, _ = loss.quad_over_norm_grad(0.01 * w, M)
         assert f1 == pytest.approx(f2)
 
+    @pytest.mark.parametrize("c", [1e-7, 1e-3])
+    def test_scale_invariant_at_small_norms(self, c):
+        """The ratio and |w| times its gradient do not depend on |w|, down to
+        the |w| < 1e-12 guard."""
+        _, _, w, _, M = _rand_problem(2)
+        f1, g1 = loss.quad_over_norm_grad(w, M)
+        fc, gc = loss.quad_over_norm_grad(c * w, M)
+        assert fc == pytest.approx(f1, rel=1e-12)
+        np.testing.assert_allclose(c * gc, g1, rtol=1e-12, atol=1e-12 * np.linalg.norm(g1))
+
     def test_eigenvector_value(self):
         M = np.diag([1.0, 4.0, 9.0])
         f, _ = loss.quad_over_norm_grad(np.array([0.0, 1.0, 0.0]), M)
@@ -251,7 +261,7 @@ def _ref_l3(w, X, y, q0, M, lam, lam_c, lam_d, sw=None):
         g = g + lam_c * gc
     if lam_d != 0.0 and M is not None:
         n2 = float(w @ w)
-        if n2 < 1e-12:
+        if n2 < 1e-24:
             fd, gd = 0.0, np.zeros_like(w)
         else:
             Mw = M @ w
@@ -276,9 +286,9 @@ class TestBitPin:
     @pytest.mark.parametrize("lams", [(0.5, 0.0, 0.0), (0.5, 0.6, 0.0), (1.0, 0.6, 2.0), (0.0, 0.0, 2.0)])
     @pytest.mark.parametrize("weighted", [False, True])
     def test_l3_matches_term_composition(self, scale, lams, weighted):
-        """Every branch: ``w = 0``, a norm below the cosine term's 1e-12, a
-        squared norm below the quad term's 1e-12 (scale 1e-7) and normal
-        norms; with and without precomputed signs."""
+        """Every branch: ``w = 0``, a norm below the 1e-12 that guards both
+        scale-invariant terms (scale 1e-13) and normal norms; with and
+        without precomputed signs."""
         g = np.random.default_rng(7)
         for n, d in [(1, 4), (9, 16), (300, 64)]:
             X = g.standard_normal((n, d))
