@@ -11,7 +11,12 @@ RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
 
 def get_spark(app: str):
-    """A SparkSession configured like the pytest fixture (conftest.py)."""
+    """The SparkSession of the jobs, perfbench and the pytest fixture.
+
+    Its Python workers start through ``repro.sparkdaemon``, which keeps
+    pyspark's per-task import-cache reset from re-reading SPARK_HOME's
+    archives; they need ``src`` (or an installed ``repro``) on their path.
+    """
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
         f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
@@ -26,6 +31,7 @@ def get_spark(app: str):
         .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .config("spark.python.daemon.module", "repro.sparkdaemon")
         .getOrCreate()
     )
 

@@ -51,6 +51,32 @@ def platt_scale(s: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(res.x[0]), float(res.x[1])
 
 
+class EnsGraph:
+    """A kNN graph in the layouts :class:`EnsRanker` reads. Nothing here
+    depends on a search, and the reverse adjacency sorts every edge, so
+    searches on one graph share one ``EnsGraph``
+    (``repro.bench.runner.DatasetBundle.ens_graph``).
+
+    ``idx``, ``w``: the (N, k) neighbor indices and non-negative edge
+    weights. ``rev_pos[rev_ptr[i]:rev_ptr[i + 1]]``: the flat positions in
+    the (N, k) layout of the edges (j, i), in ascending j. ``self_edge``:
+    where ``idx[j, c] == j``.
+    """
+
+    def __init__(self, graph_idx: np.ndarray, graph_w: np.ndarray):
+        self.idx = np.asarray(graph_idx, dtype=np.int64)
+        self.w = np.asarray(graph_w, dtype=np.float64)
+        if (self.w < 0).any():
+            raise ValueError("kNN edge weights must be non-negative")
+        n = self.idx.shape[0]
+        # Sorting the unique keys (i, position) is a stable argsort of i,
+        # several times faster.
+        dst = self.idx.ravel()
+        self.rev_pos = np.sort(dst * dst.size + np.arange(dst.size)) % dst.size
+        self.rev_ptr = np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=n))))
+        self.self_edge = self.idx == np.arange(n)[:, None]
+
+
 class EnsRanker:
     """ENS over a coarse (one-vector-per-image) database.
 
@@ -88,22 +114,24 @@ class EnsRanker:
         horizon: int = 60,
         gamma: np.ndarray | None = None,
     ):
-        self.idx = np.asarray(graph_idx, dtype=np.int64)
-        self.w = np.asarray(graph_w, dtype=np.float64)
-        if (self.w < 0).any():
-            raise ValueError("kNN edge weights must be non-negative")
+        self._use(EnsGraph(graph_idx, graph_w), horizon, gamma)
+
+    @classmethod
+    def from_graph(
+        cls, graph: EnsGraph, *, horizon: int = 60, gamma: np.ndarray | None = None
+    ) -> EnsRanker:
+        """A ranker on an already derived graph, shared with other searches."""
+        ranker = cls.__new__(cls)
+        ranker._use(graph, horizon, gamma)
+        return ranker
+
+    def _use(self, graph: EnsGraph, horizon: int, gamma: np.ndarray | None) -> None:
+        self.idx, self.w = graph.idx, graph.w
+        self.rev_pos, self.rev_ptr = graph.rev_pos, graph.rev_ptr
+        self._self_edge = graph.self_edge
+        self._n = graph.idx.shape[0]
         self.horizon = horizon
         self.gamma_override = gamma
-        n, k = self.idx.shape
-        # Reverse adjacency, CSR-style and keyed by i: rev_pos[rev_ptr[i]:
-        # rev_ptr[i + 1]] are the flat positions in the (n, k) layout of the
-        # edges (j, i), in ascending j. Sorting the unique keys (i, position)
-        # is a stable argsort of i, several times faster.
-        dst = self.idx.ravel()
-        self.rev_pos = np.sort(dst * dst.size + np.arange(dst.size)) % dst.size
-        self.rev_ptr = np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=n))))
-        self._self_edge = self.idx == np.arange(n)[:, None]
-        self._n = n
 
     # -- Ranker protocol ---------------------------------------------------
     def reset(self, ds: EmbeddedDataset, q0: np.ndarray) -> None:

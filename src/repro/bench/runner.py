@@ -11,7 +11,7 @@ parallelism of the evaluation harness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -19,6 +19,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.baselines import EnsRanker, FewShotRanker, RocchioRanker, ZeroShotRanker
+from repro.baselines.ens import EnsGraph
 from repro.bench.loop import run_search
 from repro.core.aligner import AlignerParams
 from repro.core.seesaw import SeeSawSession
@@ -36,6 +37,20 @@ class DatasetBundle:
     graph_idx: np.ndarray | None = None
     graph_w: np.ndarray | None = None
     calibrated_gamma: dict[int, np.ndarray] | None = None
+    _ens_graph: EnsGraph | None = field(default=None, init=False, repr=False, compare=False)
+
+    def ens_graph(self) -> EnsGraph:
+        """The kNN graph in ENS's layouts, derived once per bundle in each
+        process and shared by its ENS searches."""
+        if self._ens_graph is None:
+            self._ens_graph = EnsGraph(self.graph_idx, self.graph_w)
+        return self._ens_graph
+
+    def __getstate__(self):
+        # The derived graph stays out of the pickle, so a broadcast bundle
+        # carries only graph_idx and graph_w; an unpickled bundle reads the
+        # field's class default, None, and derives its own.
+        return {k: v for k, v in self.__dict__.items() if k != "_ens_graph"}
 
 
 def build_bundle(ds: EmbeddedDataset, *, with_graph: bool = False) -> DatasetBundle:
@@ -75,7 +90,7 @@ def make_ranker(method: str, params: dict[str, Any], bundle: DatasetBundle):
                 raise ValueError("calibrated ens requires a bundle with calibrated_gamma")
             gamma = bundle.calibrated_gamma[int(params["cat"])]
         horizon = {"horizon": params["horizon"]} if "horizon" in params else {}
-        return EnsRanker(bundle.graph_idx, bundle.graph_w, gamma=gamma, **horizon)
+        return EnsRanker.from_graph(bundle.ens_graph(), gamma=gamma, **horizon)
     raise KeyError(f"unknown method {method!r}")
 
 

@@ -1,4 +1,6 @@
 """Integration tests: the Spark sweep runner vs direct serial execution."""
+import pickle
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,16 @@ class TestMakeRanker:
         bare = build_bundle(DS.coarse_only(), with_graph=False)
         with pytest.raises(ValueError):
             make_ranker("ens", {}, bare)
+
+    def test_ens_searches_share_one_unpickled_graph(self):
+        """A bundle derives ENS's graph layouts once, and leaves them out of
+        its pickle (the sweep's broadcast)."""
+        b = build_bundle(DS.coarse_only(), with_graph=True)
+        before = pickle.dumps(b)
+        first, second = make_ranker("ens", {}, b), make_ranker("ens", {"horizon": 10}, b)
+        assert first.rev_pos is second.rev_pos
+        assert pickle.dumps(b) == before
+        assert pickle.loads(before).ens_graph() is not b.ens_graph()
 
     def test_calibrated_ens_without_gamma_raises(self, bundles):
         """A calibrated Table 4 row must not silently run with the raw prior."""
