@@ -26,7 +26,6 @@ def main(scale: str = "bench") -> None:
         out.append(f"### Table 2 ({panel}) — measured\n\n{md(wide.reset_index())}")
         out.append(f"### Table 2 ({panel}) — paper\n\n{md(paper.reset_index(names='config'))}")
     emit("table2", "\n".join(out))
-    spark.stop()
 
 
 if __name__ == "__main__":

@@ -30,7 +30,6 @@ def main(scale: str = "bench") -> None:
         "gamma_i and less sharply when calibrated.\n"
     )
     emit("table4", text)
-    spark.stop()
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ def main() -> None:
     merged = got.merge(pd.DataFrame(paper_rows), on=["system", "label"])
     text = "### Table 5 — measured vs paper (seconds per image ± 95% CI)\n\n" + md(merged)
     emit("table5", text)
-    spark.stop()
 
 
 if __name__ == "__main__":

@@ -27,7 +27,6 @@ def main(quick: bool = False) -> None:
         + md(paper)
     )
     emit("table6", text)
-    spark.stop()
 
 
 if __name__ == "__main__":

@@ -40,7 +40,6 @@ def main(scale: str = "bench") -> None:
         + md(paper)
     )
     emit("table7", text)
-    spark.stop()
 
 
 if __name__ == "__main__":

@@ -82,9 +82,9 @@ class EnsRanker:
 
     Parameters
     ----------
-    graph_idx, graph_w:
-        (N, k) kNN neighbor indices and non-negative edge weights of the
-        coarse vectors.
+    graph:
+        The kNN graph of the coarse vectors, which rankers of many searches
+        may share.
     horizon:
         Initial reward horizon ``t`` (paper: 60). Each step shrinks it to
         ``min(horizon, remaining)`` via the loop's ``remaining`` argument.
@@ -106,26 +106,7 @@ class EnsRanker:
     them (:func:`repro.bench.loop.best_unseen`), whatever the BLAS kernel.
     """
 
-    def __init__(
-        self,
-        graph_idx: np.ndarray,
-        graph_w: np.ndarray,
-        *,
-        horizon: int = 60,
-        gamma: np.ndarray | None = None,
-    ):
-        self._use(EnsGraph(graph_idx, graph_w), horizon, gamma)
-
-    @classmethod
-    def from_graph(
-        cls, graph: EnsGraph, *, horizon: int = 60, gamma: np.ndarray | None = None
-    ) -> EnsRanker:
-        """A ranker on an already derived graph, shared with other searches."""
-        ranker = cls.__new__(cls)
-        ranker._use(graph, horizon, gamma)
-        return ranker
-
-    def _use(self, graph: EnsGraph, horizon: int, gamma: np.ndarray | None) -> None:
+    def __init__(self, graph: EnsGraph, *, horizon: int = 60, gamma: np.ndarray | None = None):
         self.idx, self.w = graph.idx, graph.w
         self.rev_pos, self.rev_ptr = graph.rev_pos, graph.rev_ptr
         self._self_edge = graph.self_edge

@@ -14,9 +14,9 @@ from repro.core.seesaw import SeeSawSession
 class FewShotRanker(SeeSawSession):
     """Eq. 1 re-ranker: logistic loss + ridge only."""
 
-    def __init__(self, lam: float = 100.0):
+    def __init__(self):
         super().__init__(
-            AlignerParams(lam=lam, lam_c=0.0, lam_d=0.0),
+            AlignerParams(lam=100.0, lam_c=0.0, lam_d=0.0),
             M=None,
             require_positive=True,
             balanced=1.25,  # near-textbook logistic regression with a mild rebalance cap

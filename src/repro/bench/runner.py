@@ -28,16 +28,17 @@ from repro.graph.knn import knn_graph_np
 from repro.graph.laplacian import build_db_alignment, edge_weights
 
 
-@dataclass
+@dataclass(eq=False)
 class DatasetBundle:
-    """Everything one executor task needs for one dataset representation."""
+    """Everything one executor task needs for one dataset representation.
+    Bundles compare by identity."""
 
     ds: EmbeddedDataset
     M: np.ndarray | None = None
     graph_idx: np.ndarray | None = None
     graph_w: np.ndarray | None = None
     calibrated_gamma: dict[int, np.ndarray] | None = None
-    _ens_graph: EnsGraph | None = field(default=None, init=False, repr=False, compare=False)
+    _ens_graph: EnsGraph | None = field(default=None, init=False, repr=False)
 
     def ens_graph(self) -> EnsGraph:
         """The kNN graph in ENS's layouts, derived once per bundle in each
@@ -90,7 +91,7 @@ def make_ranker(method: str, params: dict[str, Any], bundle: DatasetBundle):
                 raise ValueError("calibrated ens requires a bundle with calibrated_gamma")
             gamma = bundle.calibrated_gamma[int(params["cat"])]
         horizon = {"horizon": params["horizon"]} if "horizon" in params else {}
-        return EnsRanker.from_graph(bundle.ens_graph(), gamma=gamma, **horizon)
+        return EnsRanker(bundle.ens_graph(), gamma=gamma, **horizon)
     raise KeyError(f"unknown method {method!r}")
 
 

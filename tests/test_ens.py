@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines.ens import EnsRanker, platt_scale
+from repro.baselines.ens import EnsGraph, EnsRanker, platt_scale
 from repro.bench.loop import run_search
 from repro.core.loss import sigmoid
 from repro.embed.clipsim import WorldSpec, generate_world
@@ -15,7 +15,7 @@ GW, _ = edge_weights(GD)
 
 
 def _ranker(**kw):
-    r = EnsRanker(GI, GW, **kw)
+    r = EnsRanker(EnsGraph(GI, GW), **kw)
     r.reset(DS, DS.query_vecs[0].astype(np.float64))
     return r
 
@@ -128,7 +128,7 @@ class TestScoring:
         )
         gi, gd = knn_graph_np(ds_m.vectors, 3)
         gw, _ = edge_weights(gd)
-        r = EnsRanker(gi, gw)
+        r = EnsRanker(EnsGraph(gi, gw))
         with pytest.raises(ValueError):
             r.reset(ds_m, ds_m.query_vecs[0].astype(np.float64))
 
@@ -136,13 +136,13 @@ class TestScoring:
         other = generate_world(
             WorldSpec(n_images=81, n_categories=4, d=8, grid=(0, 0), seed=6)
         )
-        r = EnsRanker(GI, GW)
+        r = EnsRanker(EnsGraph(GI, GW))
         with pytest.raises(ValueError, match="81 vectors but the kNN graph has 80 rows"):
             r.reset(other, other.query_vecs[0].astype(np.float64))
 
     def test_gamma_override_used(self):
         gam = np.full(DS.n_vectors, 0.42)
-        r = EnsRanker(GI, GW, gamma=gam)
+        r = EnsRanker(EnsGraph(GI, GW), gamma=gam)
         r.reset(DS, DS.query_vecs[0].astype(np.float64))
         np.testing.assert_allclose(r.gamma, 0.42)
 
@@ -156,7 +156,7 @@ class TestTies:
     def _edgeless(horizon):
         n = DS.n_vectors
         gamma = np.random.default_rng(11).uniform(0.05, 0.95, n)
-        return EnsRanker(np.arange(n)[:, None], np.ones((n, 1)), horizon=horizon, gamma=gamma)
+        return EnsRanker(EnsGraph(np.arange(n)[:, None], np.ones((n, 1))), horizon=horizon, gamma=gamma)
 
     @staticmethod
     def _top(r, m):
@@ -283,7 +283,7 @@ class TestForwardLayoutBitPin:
 
     @staticmethod
     def _drive(ds, gi, gw, *, horizon, gamma=None, seed=0, rounds=40, batch=3):
-        ens = EnsRanker(gi, gw, horizon=horizon, gamma=gamma)
+        ens = EnsRanker(EnsGraph(gi, gw), horizon=horizon, gamma=gamma)
         ref = _ReverseLayoutEns(gi, gw, horizon=horizon, gamma=gamma)
         q0 = ds.query_vecs[0].astype(np.float64)
         ens.reset(ds, q0)
@@ -331,7 +331,7 @@ class TestForwardLayoutBitPin:
 
     def test_reverse_adjacency_is_a_stable_argsort(self):
         for gi in (GI, _tied_graph(1, 120, 6)[1]):
-            r = EnsRanker(gi, np.ones(gi.shape))
+            r = EnsRanker(EnsGraph(gi, np.ones(gi.shape)))
             dst = np.asarray(gi, dtype=np.int64).ravel()
             order = np.argsort(dst, kind="stable")
             assert np.array_equal(r.rev_pos, order)
@@ -339,7 +339,7 @@ class TestForwardLayoutBitPin:
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            EnsRanker(GI, -GW)
+            EnsGraph(GI, -GW)
 
 
 class TestPlatt:

@@ -50,6 +50,13 @@ class TestMakeRanker:
         assert pickle.dumps(b) == before
         assert pickle.loads(before).ens_graph() is not b.ens_graph()
 
+    def test_bundles_compare_by_identity(self):
+        """``==`` on two bundles must not compare their arrays (which raises)."""
+        b = build_bundle(DS.coarse_only(), with_graph=True)
+        copy = pickle.loads(pickle.dumps(b))
+        assert b == b
+        assert b != copy
+
     def test_calibrated_ens_without_gamma_raises(self, bundles):
         """A calibrated Table 4 row must not silently run with the raw prior."""
         with pytest.raises(ValueError, match="calibrated"):
